@@ -33,8 +33,24 @@
      once P stops growing (too many cells, or too many productive pairs
      to keep probing eagerly — the engine then drops to *lazy* mode,
      permanently). Pairs are probed when the scheduler actually draws
-     them; null outcomes are cached under a budget, productive outcomes
-     always.
+     them; productive outcomes are always cached, null outcomes only when
+     they can pay for their slot. With B the cache's null budget, L the
+     live cells and X the live cells outside P, a null pair (i, j) of
+     class pair (a, b) is admitted when
+       (1) X (2L - X) <= B: every live pair outside P x P fits in the
+           budget, so silence stays provable wherever caching could prove
+           it; or
+       (2) q_ab w_ij / T_ab >= 1/B (w_ij the pair's current agent mass):
+           the pair alone carries at least a 1/B share of the scheduler.
+     Any other null is left unknown and simply re-probed if drawn again.
+     Up to n = 1448, n^2 <= B at the default budget, so every null
+     qualifies by rule (1) alone (X (2L - X) <= L^2 <= n^2). At large n
+     with mostly distinct states (Optimal-silent's correct configuration
+     at n = 10^4 and beyond) none does: each would cost a hash insert,
+     two adjacency conses and a share of the cache budget, for a pair
+     the scheduler almost never draws again. With nothing cached there,
+     the hit probability stays exactly 1 and each tick of a confirmation
+     window is a single probe.
 
    == Exact skipping ==
 
@@ -63,9 +79,9 @@
    masses and rejected while already known — the remaining law is
    uniform over unknown pairs, as required. An unknown pair is probed on
    the spot: a productive outcome is applied as the event; a null
-   outcome *is* the consumed interaction (no event) and is cached so the
-   skip gets stronger. In drained mode U = 0 and the selection
-   degenerates to the old engine's scan.
+   outcome *is* the consumed interaction (no event) and, when admitted
+   to the cache, makes the skip stronger. In drained mode U = 0 and the
+   selection degenerates to the old engine's scan.
 
    == Silence ==
 
@@ -127,6 +143,7 @@ type 'a t = {
   qmix : float array;  (* nc*nc row-major: mix_ab / 2E *)
   tmass : int array;  (* nc*nc: n_a (n_b - [a=b]) *)
   lumping_exact : bool;
+  null_budget : int;  (* B: the cache's null limit, also the admission scale *)
   (* cells *)
   mutable states : 'a array;
   mutable cls : int array;
@@ -158,6 +175,7 @@ type 'a t = {
   kn : int array;  (* nc*nc: explicitly cached null mass *)
   (* counters *)
   mutable live_cells : int;
+  mutable live_unprobed : int;  (* live cells outside P *)
   mutable interactions : int;
   mutable events : int;
   mutable pairs_probed : int;
@@ -191,6 +209,8 @@ let pairs_probed t = t.pairs_probed
 let pairs_cached t = Paircache.size t.cache
 
 let classes_live t = t.live_cells
+
+let live_unprobed t = t.live_unprobed
 
 let productive_pairs t = t.productive_pairs
 
@@ -329,6 +349,20 @@ let accumulate_contribution t k sign =
   List.iter (fun j -> touch_null k j) t.n_out.(k);
   List.iter (fun i -> touch_null i k) t.n_in.(k)
 
+let has_known_pair t k =
+  t.p_out.(k) <> [] || t.p_in.(k) <> [] || t.n_out.(k) <> [] || t.n_in.(k) <> []
+
+(* The null-admission rule (see "Knowledge about pairs"): every live pair
+   outside P x P fits in the budget, or this pair carries at least 1/B of
+   the scheduler. *)
+let worth_caching t i j =
+  let l = t.live_cells and x = t.live_unprobed in
+  x * ((2 * l) - x) <= t.null_budget
+  ||
+  let cp = idx t t.cls.(i) t.cls.(j) in
+  t.qmix.(cp) *. float_of_int (pair_weight t i j) *. float_of_int t.null_budget
+  >= float_of_int t.tmass.(cp)
+
 (* Probe one ordered pair, record the outcome, and account its mass.
    The pair must be unknown. Returns the productive outcome, if any. *)
 let probe t i j =
@@ -337,9 +371,9 @@ let probe t i j =
   let si', sj' = t.protocol.Protocol.transition t.rng si sj in
   let equal = t.protocol.Protocol.equal in
   if equal si si' && equal sj sj' then begin
-    (* Null. Within P it is implicit; otherwise cache it explicitly
-       (budget permitting) so its mass strengthens the skip. *)
-    if not (pair_in_p t i j) then begin
+    (* Null. Within P it is implicit; otherwise cache it explicitly when
+       admitted (and the budget permits) so its mass strengthens the skip. *)
+    if (not (pair_in_p t i j)) && worth_caching t i j then begin
       if Paircache.add_null t.cache (pair_key i j) null_outcome then begin
         t.n_out.(i) <- j :: t.n_out.(i);
         if i <> j then t.n_in.(j) <- i :: t.n_in.(j);
@@ -367,6 +401,8 @@ let probe t i j =
 let mark_probed t k =
   Fenwick.add t.fenx.(t.cls.(k)) t.slot.(k) (-t.counts.(k));
   t.in_p.(k) <- true;
+  (* only live cells are ever admitted *)
+  t.live_unprobed <- t.live_unprobed - 1;
   t.slot.(k) <- Fenwick.length t.fenp.(t.cls.(k));
   Fenwick.append t.fenp.(t.cls.(k));
   Fenwick.add t.fenp.(t.cls.(k)) t.slot.(k) t.counts.(k);
@@ -393,10 +429,12 @@ let on_liveness_gain t k =
   end
 
 let change_count t k delta =
-  accumulate_contribution t k (-1);
+  (* a cell with no known pair contributes no mass: skip both walks *)
+  let known = has_known_pair t k in
+  if known then accumulate_contribution t k (-1);
   let was = t.counts.(k) in
   t.counts.(k) <- was + delta;
-  accumulate_contribution t k 1;
+  if known then accumulate_contribution t k 1;
   let f = if t.in_p.(k) then t.fenp else t.fenx in
   Fenwick.add f.(t.cls.(k)) t.slot.(k) delta;
   if delta > 0 then
@@ -405,11 +443,15 @@ let change_count t k delta =
     for _ = 1 to -delta do Monitor.remove t.monitor t.states.(k) done;
   if was = 0 && delta > 0 then begin
     t.live_cells <- t.live_cells + 1;
+    if not t.in_p.(k) then t.live_unprobed <- t.live_unprobed + 1;
     on_liveness_gain t k
   end
-  else if was > 0 && was + delta = 0 then t.live_cells <- t.live_cells - 1
+  else if was > 0 && was + delta = 0 then begin
+    t.live_cells <- t.live_cells - 1;
+    if not t.in_p.(k) then t.live_unprobed <- t.live_unprobed - 1
+  end
 
-let make ?classes ?init_probe ~protocol ~init ~rng () =
+let make ?classes ?init_probe ?null_budget ~protocol ~init ~rng () =
   if not protocol.Protocol.deterministic then
     invalid_arg "Count_sim.make: protocol is randomized";
   if Array.length init <> protocol.Protocol.n then
@@ -440,6 +482,7 @@ let make ?classes ?init_probe ~protocol ~init ~rng () =
       tmass.((a * nc) + b) <- na * (nb - if a = b then 1 else 0)
     done
   done;
+  let cache = Paircache.create ?null_limit:null_budget () in
   let t =
     {
       protocol;
@@ -453,18 +496,25 @@ let make ?classes ?init_probe ~protocol ~init ~rng () =
       qmix;
       tmass;
       lumping_exact = classes.Topology.exact;
+      null_budget = Paircache.null_limit cache;
       states = Array.make 16 init.(0);
       cls = Array.make 16 0;
       counts = Array.make 16 0;
       slot = Array.make 16 0;
       in_p = Array.make 16 false;
       d = 0;
-      buckets = Hashtbl.create 1024;
+      (* sized to the population, so a start with mostly distinct states
+         (Optimal-silent's correct configuration has n) interns without
+         rehashing; the floor of 1024 buckets is for small n, where the
+         discovered outcome cells outnumber the population many times
+         over (~1300 cells at n = 48 from a uniform Optimal-silent start)
+         and a table sized to n would rehash its way up to them *)
+      buckets = Hashtbl.create (max 1024 n);
       fenp = Array.init nc (fun _ -> Fenwick.create ());
       fenx = Array.init nc (fun _ -> Fenwick.create ());
       cell_of_slot_p = Array.init nc (fun _ -> veci_make ());
       cell_of_slot_x = Array.init nc (fun _ -> veci_make ());
-      cache = Paircache.create ();
+      cache;
       probe_order = veci_make ();
       drained = false;
       p_out = Array.make 16 [];
@@ -477,6 +527,7 @@ let make ?classes ?init_probe ~protocol ~init ~rng () =
       n_in = Array.make 16 [];
       kn = Array.make (nc * nc) 0;
       live_cells = 0;
+      live_unprobed = 0;
       interactions = 0;
       events = 0;
       pairs_probed = 0;
@@ -611,22 +662,32 @@ let select_productive t a b target =
   if !found < 0 then invalid_arg "Count_sim: productive mass accounting broke";
   (outcome_fst !found, outcome_snd !found)
 
-(* Draw a uniform agent of class [a], excluding (when [skip_cell] is a
-   real cell) one agent that is currently subtracted from its tree.
-   Returns the agent's cell. *)
-let draw_cell t a =
-  let p_mass = ps t a and x_mass = xs t a in
-  let target = Prng.int t.rng (p_mass + x_mass) in
+(* The cell of the [target]-th agent of class [a], probed agents first. *)
+let cell_at t a target =
+  let p_mass = ps t a in
   if target < p_mass then t.cell_of_slot_p.(a).buf.(Fenwick.find t.fenp.(a) target)
   else t.cell_of_slot_x.(a).buf.(Fenwick.find t.fenx.(a) (target - p_mass))
+
+(* Draw a uniform agent of class [a]; returns its cell. *)
+let draw_cell t a = cell_at t a (Prng.int t.rng (ps t a + xs t a))
+
+(* Draw a uniform agent of class [a] other than one agent of the unprobed
+   cell [k] (of class [a]). The excluded agent is taken to be the last
+   position of [k]'s slot; targets at or past it shift up by one. This
+   is the same draw, for every RNG value, as subtracting the agent from
+   its tree, calling [draw_cell] and adding it back — without touching
+   the tree. *)
+let draw_cell_except t a k =
+  let p_mass = ps t a in
+  let target = Prng.int t.rng (p_mass + xs t a - 1) in
+  let excluded = p_mass + Fenwick.prefix t.fenx.(a) t.slot.(k) - 1 in
+  cell_at t a (if target >= excluded then target + 1 else target)
 
 let draw_cell_unprobed t a =
   t.cell_of_slot_x.(a).buf.(Fenwick.find t.fenx.(a) (Prng.int t.rng (xs t a)))
 
 let draw_cell_probed t a =
   t.cell_of_slot_p.(a).buf.(Fenwick.find t.fenp.(a) (Prng.int t.rng (ps t a)))
-
-let fen_of t k = if t.in_p.(k) then t.fenp.(t.cls.(k)) else t.fenx.(t.cls.(k))
 
 (* Draw a uniform ordered agent pair among those with at least one
    endpoint outside P in class pair (a, b); reject while the drawn cell
@@ -646,10 +707,7 @@ let rec draw_unknown_and_resolve t a b =
     if target < m1 then begin
       let i = draw_cell_unprobed t a in
       (* second endpoint: any agent of b except the drawn one *)
-      let fi = fen_of t i in
-      Fenwick.add fi t.slot.(i) (-1);
-      let j = draw_cell t b in
-      Fenwick.add fi t.slot.(i) 1;
+      let j = if a = b then draw_cell_except t a i else draw_cell t b in
       (i, j)
     end
     else begin

@@ -25,9 +25,9 @@
     Optimal-silent-SSR run here at n = 10⁶, where the old eager closure
     exploded. When the live-cell set outgrows the eager budget the engine
     drops (permanently) to fully lazy probing: pairs are probed the first
-    time the scheduler draws them, null outcomes are cached under a
-    budget, and the silence oracle degrades to three-valued (see
-    {!silent}).
+    time the scheduler draws them, null outcomes are cached only when
+    they can pay for their slot (see {!pairs_cached}), and the silence
+    oracle degrades to three-valued (see {!silent}).
 
     Correctness is tracked incrementally through the same {!Monitor} the
     agent engine uses, fed with multiset deltas, and the engine supports
@@ -39,6 +39,7 @@ type 'a t
 val make :
   ?classes:Topology.classes ->
   ?init_probe:bool ->
+  ?null_budget:int ->
   protocol:'a Protocol.t ->
   init:'a array ->
   rng:Prng.t ->
@@ -57,7 +58,11 @@ val make :
 
     [init_probe] forces ([true]) or suppresses ([false]) the eager probe
     of the initially live cells; by default it runs when there are at most
-    4096 of them. *)
+    4096 of them.
+
+    [null_budget] (default [2^21]) caps the cached null outcomes and is
+    the scale B of the null-admission rule (see {!pairs_cached}); tests
+    shrink it to reach the uncached-null paths at small n. *)
 
 val protocol : 'a t -> 'a Protocol.t
 
@@ -118,13 +123,25 @@ val pairs_probed : 'a t -> int
     liveness-gain folds and lazy on-demand probes alike). *)
 
 val pairs_cached : 'a t -> int
-(** Entries in the explicit pair cache (productive pairs plus budgeted
-    lazy null outcomes; pairs within the probed set are implicit and not
-    counted). *)
+(** Entries in the explicit pair cache: productive pairs plus the lazy
+    null outcomes admitted under the budget B ([null_budget]). Pairs
+    within the probed set are implicit and not counted. A lazily probed
+    null pair of class pair (a, b) is admitted only when every live pair
+    outside the probed set fits in the budget ([X (2L - X) <= B], with L
+    live cells of which X are unprobed), or when the pair's share of the
+    scheduler [q_ab w_ij / T_ab] is at least [1/B]. So every null is
+    admitted while [n² <= B] (n <= 1448 at the default budget), and at
+    large n with mostly distinct states none is: [0] on Optimal-silent's
+    correct configuration at n = 10⁴. *)
 
 val classes_live : 'a t -> int
 (** Cells with a positive count — the live support of the lumped
     configuration. *)
+
+val live_unprobed : 'a t -> int
+(** Live cells outside the probed set: [0] while drained, all of
+    {!classes_live} when the engine started lazy. The X of the null
+    admission rule (see {!pairs_cached}). *)
 
 val productive_pairs : 'a t -> int
 (** Ordered cell pairs discovered to have a non-null transition. *)

@@ -60,23 +60,31 @@ let add t i delta =
   done;
   t.total <- t.total + delta
 
-let top_bit cap =
-  let rec go b = if b * 2 <= cap then go (b * 2) else b in
-  go 1
+(* Sum of the weights of slots [0..i]. O(log capacity). *)
+let prefix t i =
+  if i < 0 || i >= t.len then invalid_arg "Fenwick.prefix: slot out of range";
+  let acc = ref 0 in
+  let idx = ref (i + 1) in
+  while !idx > 0 do
+    acc := !acc + t.tree.(!idx);
+    idx := !idx - (!idx land - !idx)
+  done;
+  !acc
 
 (* [find t target] with [0 <= target < total t] returns the slot [i] such
    that the cumulative weight of slots [< i] is <= target < cumulative
    weight of slots [<= i] — i.e. slot chosen proportionally to weight when
-   [target] is uniform. Standard Fenwick descent, O(log capacity). *)
+   [target] is uniform. Standard Fenwick descent, O(log capacity). The
+   capacity is always a power of two (16, doubled on growth), so the
+   descent starts at it and every probed node [pos + bit] is in range. *)
 let find t target =
   if target < 0 || target >= t.total then invalid_arg "Fenwick.find: target out of range";
-  let cap = Array.length t.weights in
   let pos = ref 0 in
   let remaining = ref target in
-  let bit = ref (top_bit cap) in
+  let bit = ref (Array.length t.weights) in
   while !bit > 0 do
     let next = !pos + !bit in
-    if next <= cap && t.tree.(next) <= !remaining then begin
+    if t.tree.(next) <= !remaining then begin
       remaining := !remaining - t.tree.(next);
       pos := next
     end;

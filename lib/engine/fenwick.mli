@@ -27,6 +27,11 @@ val append : t -> unit
 val add : t -> int -> int -> unit
 (** [add t i delta] adjusts slot [i]'s weight by [delta]. O(log). *)
 
+val prefix : t -> int -> int
+(** [prefix t i]: the sum of the weights of slots [0..i], so slot [i]
+    covers the targets [prefix t i - weight t i .. prefix t i - 1] of
+    {!find}. O(log). Raises [Invalid_argument] out of range. *)
+
 val find : t -> int -> int
 (** [find t target] for [0 <= target < total t]: the unique slot [i] with
     [sum weights.(0..i-1) <= target < sum weights.(0..i)]. A uniform

@@ -13,11 +13,16 @@
    identical for every --jobs value.
 
    Keys are non-negative packed pairs; values are any int except the
-   reserved {!absent}. Null outcomes are capped: once [size] reaches the
-   null budget, further {!add_null} calls are refused (the engine then
-   simply re-probes such pairs — exactness does not depend on caching).
-   Productive outcomes always insert, so the productive adjacency the
-   engine builds next to this cache can never disagree with it. *)
+   reserved {!absent}. Null outcomes are capped: once the null budget is
+   used up, further {!add_null} calls are refused (the engine then simply
+   re-probes such pairs — exactness does not depend on caching). The
+   engine also offers only the nulls that can pay for a slot: the budget
+   B doubles as its admission scale, so a null is offered when every live
+   pair needing an entry fits in B, or when the pair alone carries at
+   least 1/B of the scheduler (see the "Knowledge about pairs" section of
+   count_sim.ml). Productive outcomes always insert, so the productive
+   adjacency the engine builds next to this cache can never disagree
+   with it. *)
 
 type t = {
   mutable keys : int array;  (* -1 = empty slot *)
@@ -45,6 +50,8 @@ let create ?(null_limit = 1 lsl 21) () =
 let size t = t.size
 
 let nulls t = t.nulls
+
+let null_limit t = t.null_limit
 
 (* splitmix64-style finalizer over the key: fixed, seedless, well-mixed.
    Plain native-int xor-shift-multiply (62-bit odd constants) so the hot

@@ -10,9 +10,12 @@
 
     Null entries are budgeted: {!add_null} refuses once the limit is
     reached, and the engine falls back to re-probing such pairs (the lazy
-    kernel's exactness never depends on a pair being cached). Productive
-    entries ({!add}) always succeed, keeping the cache consistent with the
-    productive adjacency built next to it. *)
+    kernel's exactness never depends on a pair being cached). The engine
+    also reads the limit B as its admission scale and offers a null only
+    when every live pair needing an entry fits in B or the pair carries
+    at least 1/B of the scheduler. Productive entries ({!add}) always
+    succeed, keeping the cache consistent with the productive adjacency
+    built next to it. *)
 
 type t
 
@@ -40,3 +43,6 @@ val size : t -> int
 
 val nulls : t -> int
 (** Null entries stored (the budgeted kind). *)
+
+val null_limit : t -> int
+(** The null budget the cache was created with. *)

@@ -191,25 +191,30 @@ let test_tri_state_silence_oracle () =
   Alcotest.(check (option bool)) "lazy cannot decide" None (Engine.Count_sim.silent cs);
   check_bool "no probes yet" true (Engine.Count_sim.pairs_probed cs = 0)
 
+(* Runner-level convergence times of [trials] Silent-n-state runs from
+   uniform starts, with the engines they ran on. *)
+let convergence_runs ?null_budget ~init_probe ~n ~trials seed0 =
+  let p = Core.Silent_n_state.protocol ~n in
+  Array.init trials (fun k ->
+      let rng = Prng.create ~seed:(seed0 + k) in
+      let init = Core.Scenarios.silent_uniform rng ~n in
+      let cs = Engine.Count_sim.make ~init_probe ?null_budget ~protocol:p ~init ~rng () in
+      let o =
+        Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking
+          ~max_interactions:(200 * n * n * n)
+          ~confirm_interactions:(Engine.Runner.default_confirm ~n)
+          (Engine.Exec.of_count_sim cs)
+      in
+      if not o.Engine.Runner.converged then failwith "did not converge";
+      (o.Engine.Runner.convergence_time, cs))
+
 let test_lazy_matches_drained_law () =
   (* Forced-lazy probing and the eager drain sample the same chain: the
      Runner-level convergence times (same observable in both modes) must
      agree in law. *)
   let n = 10 in
-  let p = Core.Silent_n_state.protocol ~n in
   let times init_probe seed0 =
-    Array.init 250 (fun k ->
-        let rng = Prng.create ~seed:(seed0 + k) in
-        let init = Core.Scenarios.silent_uniform rng ~n in
-        let cs = Engine.Count_sim.make ~init_probe ~protocol:p ~init ~rng () in
-        let o =
-          Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking
-            ~max_interactions:(200 * n * n * n)
-            ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-            (Engine.Exec.of_count_sim cs)
-        in
-        if not o.Engine.Runner.converged then failwith "did not converge";
-        o.Engine.Runner.convergence_time)
+    Array.map fst (convergence_runs ~init_probe ~n ~trials:250 seed0)
   in
   let eager = times true 61_000 and lazy_times = times false 62_000 in
   let d = Stats.Ks.statistic eager lazy_times in
@@ -217,6 +222,154 @@ let test_lazy_matches_drained_law () =
     (Printf.sprintf "lazy and drained agree in law (KS D=%.3f)" d)
     true
     (Stats.Ks.same_distribution ~alpha:Stats.Ks.P01 eager lazy_times)
+
+let test_tiny_budget_matches_drained_law () =
+  (* A null budget of 16 at n = 10 (T = 90 ordered agent pairs): the
+     everything-fits rule holds only while at most four cells are live,
+     so most nulls are admitted by their scheduler share (weight >= 6)
+     or not at all, and the budget itself runs out. Refused nulls stay
+     unknown and are re-probed when drawn again. The law must not move. *)
+  let n = 10 in
+  let eager = Array.map fst (convergence_runs ~init_probe:true ~n ~trials:250 63_000) in
+  let runs = convergence_runs ~null_budget:16 ~init_probe:false ~n ~trials:250 64_000 in
+  let tiny = Array.map fst runs in
+  let module C = Engine.Count_sim in
+  let nulls_cached cs = C.pairs_cached cs - C.productive_pairs cs in
+  check_bool "some nulls admitted" true (Array.exists (fun (_, cs) -> nulls_cached cs > 0) runs);
+  check_bool "budget respected" true (Array.for_all (fun (_, cs) -> nulls_cached cs <= 16) runs);
+  (* more probes than distinct cell pairs: some pair was probed twice *)
+  check_bool "uncached nulls re-probed" true
+    (Array.exists (fun (_, cs) -> C.pairs_probed cs > C.closure_size cs * C.closure_size cs) runs);
+  let d = Stats.Ks.statistic eager tiny in
+  check_bool
+    (Printf.sprintf "tiny-budget lazy and drained agree in law (KS D=%.3f)" d)
+    true
+    (Stats.Ks.same_distribution ~alpha:Stats.Ks.P01 eager tiny)
+
+let test_admission_keeps_silence_provable () =
+  (* Lazy Silent-n-state from its correct configuration, n = 8: P is
+     empty, so L = X = 8 and X (2L - X) = 64, while the 56 needed pairs
+     all have weight 1 against T = 56. Budget 64 admits every null by the
+     everything-fits rule, 56 by the share rule, and both prove silence
+     on the same trajectory as the default budget. At 55 neither rule
+     admits anything: silence stays unprovable and the Runner confirms
+     by its window instead, with the same convergence verdict. *)
+  let n = 8 in
+  let p = Core.Silent_n_state.protocol ~n in
+  let confirm = 100_000 in
+  let run null_budget =
+    let cs =
+      Engine.Count_sim.make ~init_probe:false ?null_budget ~protocol:p
+        ~init:(Core.Scenarios.silent_correct ~n) ~rng:(Prng.create ~seed:71) ()
+    in
+    let o =
+      Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking ~max_interactions:(2 * confirm)
+        ~confirm_interactions:confirm (Engine.Exec.of_count_sim cs)
+    in
+    (o, cs)
+  in
+  let reference, cs = run None in
+  check_int "started lazy: every live cell unprobed" n (Engine.Count_sim.live_unprobed cs);
+  let drained =
+    Engine.Count_sim.make ~protocol:p ~init:(Core.Scenarios.silent_correct ~n)
+      ~rng:(Prng.create ~seed:71) ()
+  in
+  check_int "drained: no live cell unprobed" 0 (Engine.Count_sim.live_unprobed drained);
+  Alcotest.(check (option bool)) "default budget: provably silent" (Some true)
+    (Engine.Count_sim.silent cs);
+  check_bool "silence cut the window short" true
+    (reference.Engine.Runner.total_interactions < confirm);
+  List.iter
+    (fun b ->
+      let o, cs = run (Some b) in
+      Alcotest.(check (option bool))
+        (Printf.sprintf "budget %d: provably silent" b)
+        (Some true) (Engine.Count_sim.silent cs);
+      check_bool (Printf.sprintf "budget %d: same Runner outcome" b) true (o = reference))
+    [ n * n; n * (n - 1) ];
+  let o, cs = run (Some ((n * (n - 1)) - 1)) in
+  Alcotest.(check (option bool)) "budget 55: undecided" None (Engine.Count_sim.silent cs);
+  check_int "budget 55: no null cached" 0 (Engine.Count_sim.pairs_cached cs);
+  check_bool "budget 55: same verdict" true
+    (o.Engine.Runner.converged
+    && o.Engine.Runner.convergence_interactions = reference.Engine.Runner.convergence_interactions
+    && o.Engine.Runner.violations = reference.Engine.Runner.violations);
+  check_int "budget 55: the full window ran" confirm o.Engine.Runner.total_interactions
+
+let test_everything_fits_rule () =
+  (* The everything-fits rule on its own, on a star (n = 8), where
+     Silent-n-state is silent as soon as the hub's rank differs from
+     every leaf's: hub 0, six leaves at 1, one at 2. That is L = X = 3
+     live cells, X (2L - X) = 9. The hub/rank-2 pairs carry weight 1
+     against T = 7 at q = 1/2, a share of 1/14 that the share rule admits
+     only from B = 14. So B = 9 caches all four needed nulls and proves
+     silence; B = 8 leaves two unknown for good. *)
+  let n = 8 in
+  let p = Core.Silent_n_state.protocol ~n in
+  let classes = Engine.Topology.degree_classes (Engine.Topology.star ~n) in
+  let rank = Core.Silent_n_state.state_of_rank0 ~n in
+  let init = Array.init n (fun i -> rank (if i = 0 then 0 else if i = 1 then 2 else 1)) in
+  let settle null_budget =
+    let cs =
+      Engine.Count_sim.make ~classes ~init_probe:false ~null_budget ~protocol:p ~init
+        ~rng:(Prng.create ~seed:73) ()
+    in
+    let o = Engine.Count_sim.run_to_silence ~max_events:10_000 cs in
+    check_int (Printf.sprintf "budget %d: no event" null_budget) 0 o.Engine.Count_sim.events;
+    Engine.Count_sim.silent cs
+  in
+  Alcotest.(check (option bool)) "budget 9: provably silent" (Some true) (settle 9);
+  Alcotest.(check (option bool)) "budget 8: undecided" None (settle 8)
+
+let test_optimal_window_caches_nothing () =
+  (* Optimal-silent's correct configuration at n = 2000 has 2000 distinct
+     states. Left lazy (the eager drain would prove silence at once, as
+     it does up to 4096 live cells), X (2L - X) = n^2 and T = n (n - 1)
+     both exceed 2^21: no null earns a slot, every tick of the
+     confirmation window is one uncached probe, and no event fires. *)
+  let n = 2000 in
+  let params = Core.Params.optimal_silent n in
+  let p = Core.Optimal_silent.protocol ~params ~n () in
+  let cs =
+    Engine.Count_sim.make ~init_probe:false ~protocol:p
+      ~init:(Core.Scenarios.optimal_correct ~n) ~rng:(Prng.create ~seed:72) ()
+  in
+  let confirm = Engine.Runner.default_confirm ~n in
+  let o =
+    Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking ~max_interactions:(2 * confirm)
+      ~confirm_interactions:confirm (Engine.Exec.of_count_sim cs)
+  in
+  check_bool "converged" true o.Engine.Runner.converged;
+  check_int "events" 0 (Engine.Count_sim.events cs);
+  check_int "total interactions" confirm o.Engine.Runner.total_interactions;
+  check_int "pairs cached" 0 (Engine.Count_sim.pairs_cached cs)
+
+(* ---------- Fenwick excluded draw ---------- *)
+
+let qcheck_excluded_draw =
+  (* The count engine draws "any agent but this one" by shifting the
+     target past the excluded agent's position instead of removing the
+     agent from the tree; both must pick the same slot for every target. *)
+  QCheck.Test.make ~name:"fenwick shifted draw equals remove/draw/restore" ~count:500
+    QCheck.(triple (list_of_size (Gen.int_range 1 40) (int_bound 5)) small_nat small_nat)
+    (fun (weights, e, r) ->
+      let total = List.fold_left ( + ) 0 weights in
+      let positive = List.filter (fun i -> List.nth weights i > 0) (List.init (List.length weights) Fun.id) in
+      QCheck.assume (total >= 2);
+      let f = Engine.Fenwick.create () in
+      List.iteri
+        (fun i w ->
+          Engine.Fenwick.append f;
+          Engine.Fenwick.add f i w)
+        weights;
+      let s = List.nth positive (e mod List.length positive) in
+      let target = r mod (total - 1) in
+      let excluded = Engine.Fenwick.prefix f s - 1 in
+      let shifted = Engine.Fenwick.find f (if target >= excluded then target + 1 else target) in
+      Engine.Fenwick.add f s (-1);
+      let mutated = Engine.Fenwick.find f target in
+      Engine.Fenwick.add f s 1;
+      shifted = mutated)
 
 (* ---------- degree-class lumping ---------- *)
 
@@ -301,6 +454,14 @@ let suite =
     Alcotest.test_case "null skipping" `Quick test_interactions_dominate_events;
     Alcotest.test_case "tri-state silence oracle" `Quick test_tri_state_silence_oracle;
     Alcotest.test_case "lazy matches drained law (KS)" `Slow test_lazy_matches_drained_law;
+    Alcotest.test_case "tiny null budget matches drained law (KS)" `Slow
+      test_tiny_budget_matches_drained_law;
+    Alcotest.test_case "null admission keeps silence provable" `Quick
+      test_admission_keeps_silence_provable;
+    Alcotest.test_case "null admission: everything-fits rule" `Quick test_everything_fits_rule;
+    Alcotest.test_case "optimal-silent window caches no null" `Slow
+      test_optimal_window_caches_nothing;
+    QCheck_alcotest.to_alcotest qcheck_excluded_draw;
     Alcotest.test_case "classes snapshot and faults" `Quick test_classes_snapshot_and_faults;
     Alcotest.test_case "star lumping silent but incorrect" `Quick
       test_star_lumping_silent_but_incorrect;
