@@ -241,6 +241,120 @@ let test_soak_validates_arguments () =
         ~adversary:Chaos.Adversary.kill_leader ~random_state ~rng:(Prng.create ~seed:38)
         ~horizon:100 (make ()))
 
+(* One burst accounting: the soak's report must tell the same story as
+   [Telemetry.Timeline] folding the events file the soak wrote. The
+   availability is left out: a count-engine soak that ends silent writes
+   no event at its horizon, so the folded stream stops early. *)
+type soak_case = {
+  c_seed : int;
+  c_n : int;
+  c_kind : Engine.Exec.kind;
+  c_optimal : bool;
+  c_adversary : Chaos.Adversary.t;
+  c_horizon : int;  (** parallel time units *)
+}
+
+let soak_case_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, n, agent, optimal, adv) ->
+        {
+          c_seed = seed;
+          (* the count engine probes Optimal-Silent's large state space
+             lazily; small populations and short soaks keep it fast *)
+          c_n = (if optimal && not agent then 6 + (n mod 4) else n);
+          c_kind = (if agent then Engine.Exec.Agent else Engine.Exec.Count);
+          c_optimal = optimal;
+          c_adversary =
+            (match adv with
+            | 0 -> Chaos.Adversary.corrupt ~fraction:0.2
+            | 1 -> Chaos.Adversary.kill_leader
+            | 2 -> Chaos.Adversary.duplicate_rank
+            | _ -> Chaos.Adversary.stuck ~agents:2 ~duration:(20 * n));
+          c_horizon = (if optimal && not agent then 120 else 400);
+        })
+      (tup5 (int_bound 10_000) (int_range 6 32) bool bool (int_bound 3)))
+
+let soak_case_arb =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "seed %d, n %d, %s engine, %s, %s" c.c_seed c.c_n
+        (Engine.Exec.kind_to_string c.c_kind)
+        (if c.c_optimal then "optimal" else "silent")
+        (Chaos.Adversary.to_string c.c_adversary))
+    soak_case_gen
+
+(* Runs one soak with its events written to a buffer; returns the report
+   and the Timeline summary of the buffer. *)
+let soak_and_fold c =
+  let n = c.c_n in
+  let rng = Prng.create ~seed:c.c_seed in
+  let go (type s) (protocol : s Engine.Protocol.t) (init : s array) (random_state : Prng.t -> s)
+      =
+    let exec = Engine.Exec.make ~kind:c.c_kind ~protocol ~init ~rng () in
+    let sink = Telemetry.Sink.buffer () in
+    let run =
+      Telemetry.Events.make_run ~engine:c.c_kind ~protocol:protocol.Engine.Protocol.name ~n
+        ~seed:c.c_seed ()
+    in
+    Telemetry.Events.attach ~step_interval:(64 * n) exec ~run sink;
+    let report =
+      Chaos.Soak.run ~sla_budget:(n * (20 + (c.c_seed mod 200)))
+        ~schedule:(Chaos.Schedule.poisson ~rate:0.05)
+        ~adversary:c.c_adversary ~random_state ~rng ~horizon:(c.c_horizon * n) exec
+    in
+    let events =
+      String.split_on_char '\n' (Telemetry.Sink.contents sink)
+      |> List.filter (fun l -> l <> "")
+      |> List.map (fun l -> Result.get_ok (Telemetry.Events.of_line l))
+    in
+    (report, Telemetry.Timeline.fold events)
+  in
+  if c.c_optimal then
+    let params = Core.Params.optimal_silent n in
+    go
+      (Core.Optimal_silent.protocol ~params ~n ())
+      (Core.Scenarios.optimal_correct ~n)
+      (fun rng -> Core.Scenarios.optimal_random_state rng ~params ~n)
+  else
+    go (Core.Silent_n_state.protocol ~n) (Core.Scenarios.silent_correct ~n) (fun rng ->
+        Core.Scenarios.silent_random_state rng ~n)
+
+let qcheck_soak_agrees_with_timeline =
+  QCheck.Test.make ~name:"soak agrees with the timeline of its events" ~count:40 soak_case_arb
+    (fun c ->
+      let r, summaries = soak_and_fold c in
+      match summaries with
+      | [ s ] ->
+          let bursts = s.Telemetry.Timeline.bursts in
+          let count p = List.length (List.filter p bursts) in
+          let unbroken (b : Telemetry.Timeline.burst) = not b.broke in
+          let recovered =
+            List.filter_map
+              (fun (b : Telemetry.Timeline.burst) ->
+                if b.broke then Telemetry.Timeline.recovery_time b else None)
+              bursts
+          in
+          let nf = float_of_int c.c_n in
+          let sla =
+            Telemetry.Timeline.check_sla
+              ~budget:(float_of_int r.Chaos.Soak.sla.Chaos.Soak.budget /. nf)
+              s
+          in
+          r.Chaos.Soak.bursts = List.length bursts
+          && r.Chaos.Soak.absorbed = count unbroken
+          && r.Chaos.Soak.recoveries = List.length recovered
+          && r.Chaos.Soak.sla.Chaos.Soak.censored = sla.Telemetry.Timeline.sla_censored
+          && r.Chaos.Soak.sla.Chaos.Soak.misses = sla.Telemetry.Timeline.sla_misses
+          && r.Chaos.Soak.sla.Chaos.Soak.met = sla.Telemetry.Timeline.sla_met
+          && r.Chaos.Soak.violations = s.Telemetry.Timeline.violations
+          && List.length recovered = Array.length r.Chaos.Soak.recovery_times
+          && List.for_all2
+               (fun a b -> Float.abs (a -. b) <= 1e-9)
+               recovered
+               (Array.to_list r.Chaos.Soak.recovery_times)
+      | _ -> false)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_schedule_deterministic;
@@ -257,4 +371,5 @@ let suite =
     Alcotest.test_case "soak report sane" `Quick test_soak_report_sane;
     Alcotest.test_case "soak stuck repins" `Quick test_soak_stuck_repins;
     Alcotest.test_case "soak validates arguments" `Quick test_soak_validates_arguments;
+    QCheck_alcotest.to_alcotest qcheck_soak_agrees_with_timeline;
   ]
