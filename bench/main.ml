@@ -416,7 +416,13 @@ let () =
     | a :: rest -> extract_jobs (a :: acc) rest
   in
   let jobs_opt, args = extract_jobs [] args in
-  let jobs = match jobs_opt with Some j -> j | None -> Engine.Pool.default_jobs () in
+  let jobs =
+    match Engine.Pool.resolve_jobs jobs_opt with
+    | Ok j -> j
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
+  in
   let full = List.mem "--full" args in
   let micro_only = List.mem "--micro-only" args in
   let kernel_only = List.mem "--kernel-only" args in

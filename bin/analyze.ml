@@ -82,11 +82,13 @@ let certify_reports ~dir ~entries ~ns reports =
 let main protocols ns report_format jobs max_configs list dump certify certify_dir =
   if list then list_entries ()
   else begin
-    let jobs = match jobs with Some j -> j | None -> Engine.Pool.default_jobs () in
-    if jobs < 1 then begin
-      Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
-      exit 2
-    end;
+    let jobs =
+      match Engine.Pool.resolve_jobs jobs with
+      | Ok j -> j
+      | Error msg ->
+          prerr_endline msg;
+          exit 2
+    in
     let ns = if ns = [] then [ 3; 4 ] else ns in
     (match List.find_opt (fun n -> n < 2) ns with
     | Some n ->

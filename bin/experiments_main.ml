@@ -24,11 +24,13 @@ let main list_only full names seed jobs out out_dir =
     exit 0
   end;
   let mode = if full then Experiments.Exp_common.Full else Experiments.Exp_common.Quick in
-  let jobs = match jobs with Some j -> j | None -> Engine.Pool.default_jobs () in
-  if jobs < 1 then begin
-    Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
-    exit 2
-  end;
+  let jobs =
+    match Engine.Pool.resolve_jobs jobs with
+    | Ok j -> j
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
+  in
   let selected =
     match names with
     | [] -> Experiments.Report.all

@@ -10,884 +10,379 @@
      ssr_sim -p optimal -n 64 --trials 200 --jobs 4
      ssr_sim -p silent -n 512 --trials 50 --engine count
      ssr_sim -p optimal -n 1000000 -s correct --engine count
-     ssr_sim -p optimal -n 100000 -s uniform --engine count --topology star *)
+     ssr_sim -p optimal -n 100000 -s uniform --engine count --topology star
+
+   The command line is validated into a Fleet.Job.t; Fleet.Run holds the
+   protocol catalogue, builds the executors and runs the trial or the
+   batch, exactly as for a fleet job. This file prints the reports. *)
+
+module Run = Fleet.Run
+
+let usage msg =
+  prerr_endline msg;
+  exit 2
 
 let topology_of ~n = function
   | "complete" -> None
   | "ring" -> Some (Engine.Topology.ring ~n)
   | "star" -> Some (Engine.Topology.star ~n)
   | "regular4" -> Some (Engine.Topology.random_regular (Prng.create ~seed:99) ~n ~degree:4)
-  | other ->
-      Printf.eprintf "unknown topology '%s' (complete | ring | star | regular4)\n" other;
-      exit 2
+  | other -> usage (Printf.sprintf "unknown topology '%s' (complete | ring | star | regular4)" other)
 
 (* The count engine takes a non-complete topology through its
    degree-class lumping (Topology.degree_classes). On the star the
    lumping is exact; on the ring or a random regular graph it is the
    annealed approximation — warn once, loudly, rather than silently
    reporting approximate numbers as exact. *)
-let annealed_warned = ref false
+let warn_annealed (Run.Plan p) =
+  match (p.kind, p.topology) with
+  | Engine.Exec.Count, Some t when not (Engine.Topology.degree_classes t).Engine.Topology.exact ->
+      Printf.eprintf
+        "warning: degree-class lumping of '%s' is not exact; the count engine runs the annealed \
+         approximation (degree sequence honored, wiring resampled every interaction)\n%!"
+        (Engine.Topology.name t)
+  | _ -> ()
 
-let count_classes ~n topology =
-  match topology_of ~n topology with
-  | None -> None
-  | Some t ->
-      let classes = Engine.Topology.degree_classes t in
-      if (not classes.Engine.Topology.exact) && not !annealed_warned then begin
-        annealed_warned := true;
-        Printf.eprintf
-          "warning: degree-class lumping of '%s' is not exact; the count engine runs the \
-           annealed approximation (degree sequence honored, wiring resampled every \
-           interaction)\n%!"
-          (Engine.Topology.name t)
-      end;
-      Some classes
-
-(* Build the requested executor. The count engine does not support
-   randomized protocols — reject up front with a real message instead of
-   an exception trace. A restricted interaction graph reaches the count
-   engine as a degree-class lumping and the agent engine as a scheduler
-   sampler. When a compiled kernel is given, the same engine runs on
-   packed int codes behind the Kernel.exec boundary wrapper. *)
-let make_exec (type s) ~engine ~(protocol : s Engine.Protocol.t)
-    ~(kernel : s Ir.Kernel.t option) ~(init : s array) ~rng ~topology : s Engine.Exec.t =
-  (match (engine : Engine.Exec.kind) with
-  | Engine.Exec.Count ->
-      if not protocol.Engine.Protocol.deterministic then begin
-        Printf.eprintf "--engine count requires a deterministic protocol (got %s)\n"
-          protocol.Engine.Protocol.name;
-        exit 2
-      end
-  | Engine.Exec.Agent -> ());
-  let n = protocol.Engine.Protocol.n in
-  match kernel with
-  | Some k -> (
-      match (engine : Engine.Exec.kind) with
-      | Engine.Exec.Count ->
-          Ir.Kernel.exec ?classes:(count_classes ~n topology) ~kind:engine k ~init ~rng
-      | Engine.Exec.Agent ->
-          let sampler = Option.map Engine.Topology.sampler (topology_of ~n topology) in
-          Ir.Kernel.exec ?sampler ~kind:engine k ~init ~rng)
-  | None -> (
-      match (engine : Engine.Exec.kind) with
-      | Engine.Exec.Count ->
-          Engine.Exec.make
-            ?classes:(count_classes ~n topology)
-            ~kind:Engine.Exec.Count ~protocol ~init ~rng ()
-      | Engine.Exec.Agent ->
-          let sim =
-            match topology_of ~n topology with
-            | None -> Engine.Sim.make ~protocol ~init ~rng
-            | Some t ->
-                Engine.Sim.make_with ~sampler:(Engine.Topology.sampler t) ~protocol ~init ~rng
-          in
-          Engine.Exec.of_sim sim)
-
-let kernel_name kernel = if Option.is_some kernel then "compiled" else "interp"
-
-let pp_kernel_line kernel =
+let pp_header ?trials ~(job : Fleet.Job.t) (Run.Plan p) =
+  Printf.printf "protocol            : %s\n" p.protocol.Engine.Protocol.name;
+  Printf.printf "engine              : %s\n" (Engine.Exec.kind_to_string p.kind);
   Option.iter
     (fun k ->
       Printf.printf "kernel              : compiled (%d live states, %s, %.1f ms compile)\n"
         (Ir.Kernel.states k)
         (if Ir.Kernel.exact k then "exact" else "quotient")
         (1000.0 *. k.Ir.Kernel.compile_s))
-    kernel
-
-(* Step events are thinned to roughly two samples per unit of parallel
-   time; landmark events (correctness transitions, silence, faults) are
-   always written. *)
-let step_interval ~n = max 1 (n / 2)
-
-let write_manifest ~events_path ~protocol ~engine ~n ~seed ~trials ~jobs ~params ~wall_clock_s =
-  let manifest =
-    Telemetry.Manifest.make ~run:"ssr_sim" ~protocol
-      ~engine:(Engine.Exec.kind_to_string engine) ~n ~seed ~trials ~jobs ~params ~wall_clock_s ()
-  in
-  Telemetry.Manifest.write ~path:(events_path ^ ".manifest.json") manifest
-
-let run_single (type s) ~engine ~(protocol : s Engine.Protocol.t) ~(kernel : s Ir.Kernel.t option)
-    ~(init : s array) ~seed ~verbose ~horizon_scale ~topology ~events ~metrics ~scenario =
-  let n = protocol.Engine.Protocol.n in
-  let t0 = Unix.gettimeofday () in
-  (* Install the metrics registry before the executor is built so the
-     timed-phase spans (init drain, advance) land in it; [record_exec]
-     publishes the engine counters at the end without per-site scraping. *)
-  let reg = if metrics = None then None else Some (Telemetry.Metrics.create ()) in
-  Option.iter Telemetry.Metrics.install reg;
-  let finish () = if reg <> None then Telemetry.Metrics.uninstall () in
-  Fun.protect ~finally:finish @@ fun () ->
-  let rng = Prng.create ~seed in
-  let exec =
-    Telemetry.Span.wrap "init_drain" (fun () ->
-        make_exec ~engine ~protocol ~kernel ~init ~rng ~topology)
-  in
-  let sink = Option.map Telemetry.Sink.file events in
+    p.kernel;
+  Printf.printf "population          : %d\n" job.Fleet.Job.n;
+  Option.iter (Printf.printf "chaos               : %s\n") job.Fleet.Job.chaos;
   Option.iter
-    (fun sink ->
-      let run =
-        Telemetry.Events.make_run ~engine ~protocol:protocol.Engine.Protocol.name ~n ~seed ()
+    (fun jobs ->
+      Printf.printf "trials              : %d (on %d domain%s)\n" job.Fleet.Job.trials jobs
+        (if jobs = 1 then "" else "s"))
+    trials
+
+let pp_stable (Run.Plan p) exec (o : Engine.Runner.outcome) =
+  let n = p.protocol.Engine.Protocol.n in
+  Printf.printf "converged           : %b\n" o.converged;
+  Printf.printf "stabilization time  : %.2f (parallel time units)\n" o.convergence_time;
+  Printf.printf "interactions        : %d\n" o.total_interactions;
+  if p.kind = Engine.Exec.Count then
+    Printf.printf "productive events   : %d\n" (Engine.Exec.events exec);
+  Printf.printf "correctness losses  : %d\n" o.violations;
+  match Engine.Exec.silent exec with
+  | Some silent -> Printf.printf "final config silent : %b (exact oracle)\n" silent
+  | None ->
+      if p.protocol.Engine.Protocol.deterministic && o.converged then
+        if n <= 4096 then
+          (* the fallback scan is O(distinct states²) transition probes —
+             fine at experiment sizes, not at the count engine's n = 10⁶ *)
+          Printf.printf "final config silent : %b\n"
+            (Engine.Silence.configuration_is_silent (Engine.Exec.protocol exec)
+               (Engine.Exec.snapshot exec))
+        else Printf.printf "final config silent : unknown (population too large to scan)\n"
+
+(* The events manifest and the metrics dump, once the report is out. *)
+let write_outputs ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics ~t0 ?report
+    ?(pool = [||]) (Run.Plan p) ~walls values =
+  let wall_clock_s = Unix.gettimeofday () -. t0 in
+  Option.iter
+    (fun path ->
+      let common =
+        [
+          ("scenario", Telemetry.Json.String job.scenario);
+          ("topology", Telemetry.Json.String topology);
+          ("kernel", Telemetry.Json.String (if p.kernel = None then "interp" else "compiled"));
+        ]
       in
-      Telemetry.Events.attach ~step_interval:(step_interval ~n) exec ~run sink)
-    sink;
+      let params =
+        match (job.chaos, report) with
+        | None, _ -> common @ [ ("horizon_scale", Telemetry.Json.Float p.horizon_scale) ]
+        | Some spec, Some (r : Chaos.Soak.report) ->
+            common
+            @ [
+                ("chaos", Telemetry.Json.String spec);
+                ("horizon_interactions", Telemetry.Json.Int r.horizon);
+                ("sla_budget_interactions", Telemetry.Json.Int r.sla.budget);
+              ]
+        | Some _, None -> []
+      in
+      Telemetry.Manifest.write ~path:(path ^ ".manifest.json")
+        (Telemetry.Manifest.make ~run:"ssr_sim" ~protocol:p.protocol.Engine.Protocol.name
+           ~engine:(Engine.Exec.kind_to_string p.kind) ~n:job.n ~seed:job.seed ~trials:job.trials
+           ~jobs ~params ~wall_clock_s ()))
+    events;
+  Option.iter
+    (fun (path, reg) ->
+      List.iter (Telemetry.Metrics.observe reg "trial_wall_s") walls;
+      Array.iteri
+        (fun slot { Engine.Pool.tasks; busy_s } ->
+          Telemetry.Metrics.set reg (Printf.sprintf "pool.domain%d.tasks" slot) (float_of_int tasks);
+          Telemetry.Metrics.set reg (Printf.sprintf "pool.domain%d.busy_s" slot) busy_s)
+        pool;
+      List.iter (fun (name, v) -> Telemetry.Metrics.set reg name v) values;
+      Telemetry.Metrics.write ~path reg)
+    metrics
+
+(* A single run keeps its historical entropy (see Fleet.Run): run
+   generator [seed], scenario generator [seed + 1000], no trial tag. *)
+let run_single ~(job : Fleet.Job.t) ~verbose ~topology ~events ~metrics plan =
+  let n = job.n and seed = job.seed in
+  let t0 = Unix.gettimeofday () in
+  let sink = Option.map Telemetry.Sink.file events in
   let collector = Engine.Instrument.collector ~interval:(max 1 (n / 2)) () in
-  if verbose then begin
-    let metric () =
-      ( Engine.Exec.leader_count exec,
-        Engine.Exec.ranked_agents exec,
-        if Engine.Exec.ranking_correct exec then "RANKED" else "" )
-    in
-    Engine.Exec.on exec (Engine.Instrument.sampled collector metric)
-  end;
-  let outcome =
-    Telemetry.Span.wrap "advance" (fun () ->
-        Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking
-          ~max_interactions:
-            (Engine.Runner.default_horizon ~n ~expected_time:(horizon_scale *. float_of_int n))
-          ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-          exec)
+  let timeline exec =
+    Engine.Exec.on exec
+      (Engine.Instrument.sampled collector (fun () ->
+           ( Engine.Exec.leader_count exec,
+             Engine.Exec.ranked_agents exec,
+             if Engine.Exec.ranking_correct exec then "RANKED" else "" )))
   in
-  if verbose then begin
+  let hook = if verbose && job.chaos = None then Some { Run.hook = timeline } else None in
+  let (Run.Finished { exec; outcome }) =
+    Run.trial ?hook ?sink ~seed ~scenario_rng:(Prng.create ~seed:(seed + 1000))
+      ~rng:(Prng.create ~seed) plan
+  in
+  if hook <> None then begin
     Printf.printf "time       leaders  ranked  status\n";
     List.iter
       (fun (t, (leaders, ranked, status)) ->
         Printf.printf "%-10.2f %-8d %-7d %s\n" t leaders ranked status)
       (Engine.Instrument.series collector)
   end;
-  Printf.printf "protocol            : %s\n" protocol.Engine.Protocol.name;
-  Printf.printf "engine              : %s\n" (Engine.Exec.kind_to_string engine);
-  pp_kernel_line kernel;
-  Printf.printf "population          : %d\n" n;
-  Printf.printf "converged           : %b\n" outcome.Engine.Runner.converged;
-  Printf.printf "stabilization time  : %.2f (parallel time units)\n"
-    outcome.Engine.Runner.convergence_time;
-  Printf.printf "interactions        : %d\n" outcome.Engine.Runner.total_interactions;
-  (match engine with
-  | Engine.Exec.Count ->
-      Printf.printf "productive events   : %d\n" (Engine.Exec.events exec)
-  | Engine.Exec.Agent -> ());
-  Printf.printf "correctness losses  : %d\n" outcome.Engine.Runner.violations;
-  (match Engine.Exec.silent exec with
-  | Some silent -> Printf.printf "final config silent : %b (exact oracle)\n" silent
-  | None ->
-      if protocol.Engine.Protocol.deterministic && outcome.Engine.Runner.converged then
-        if n <= 4096 then
-          (* the fallback scan is O(distinct states²) transition probes —
-             fine at experiment sizes, not at the count engine's n = 10⁶ *)
-          Printf.printf "final config silent : %b\n"
-            (Engine.Silence.configuration_is_silent protocol (Engine.Exec.snapshot exec))
-        else Printf.printf "final config silent : unknown (population too large to scan)\n");
-  let wall_clock_s = Unix.gettimeofday () -. t0 in
-  Option.iter
-    (fun sink ->
-      Telemetry.Sink.close sink;
-      write_manifest
-        ~events_path:(Option.get events)
-        ~protocol:protocol.Engine.Protocol.name ~engine ~n ~seed ~trials:1 ~jobs:1
-        ~params:
-          [
-            ("scenario", Telemetry.Json.String scenario);
-            ("topology", Telemetry.Json.String topology);
-            ("kernel", Telemetry.Json.String (kernel_name kernel));
-            ("horizon_scale", Telemetry.Json.Float horizon_scale);
-          ]
-        ~wall_clock_s)
-    sink;
-  (match (metrics, reg) with
-  | Some path, Some reg ->
-      Telemetry.Metrics.record_exec exec;
-      Telemetry.Metrics.observe reg "trial_wall_s" wall_clock_s;
-      Telemetry.Metrics.set reg "converged"
-        (if outcome.Engine.Runner.converged then 1.0 else 0.0);
-      Telemetry.Metrics.set reg "violations" (float_of_int outcome.Engine.Runner.violations);
-      Telemetry.Metrics.write ~path reg
-  | _ -> ());
-  if outcome.Engine.Runner.converged then 0 else 1
+  pp_header ~job plan;
+  Option.iter Telemetry.Sink.close sink;
+  let write ?report values =
+    write_outputs ~job ~topology ~jobs:1 ~events ~metrics ~t0 ?report plan
+      ~walls:[ Unix.gettimeofday () -. t0 ]
+      values
+  in
+  match outcome with
+  | Run.Stable o ->
+      pp_stable plan exec o;
+      write
+        [
+          ("converged", if o.converged then 1.0 else 0.0);
+          ("violations", float_of_int o.violations);
+        ];
+      if o.converged then 0 else 1
+  | Run.Soaked r ->
+      Chaos.Soak.print_report stdout ~n r;
+      write ~report:r [ ("availability", r.availability) ];
+      (* Chaos mode reports; the SLA verdict is data, not an exit code. *)
+      0
 
-let lookup_scenario ~kind catalogue scenario =
-  match List.assoc_opt scenario catalogue with
-  | Some gen -> gen
-  | None ->
-      let names = String.concat ", " (List.map fst catalogue) in
-      Printf.eprintf "unknown %s scenario '%s' (available: %s)\n" kind scenario names;
-      exit 2
-
-(* Trials run supervised (Fleet.Supervise): a raising trial — a protocol
-   bug, a bad scenario, an injected fault — is captured as a per-trial
-   failure instead of aborting the batch, so the completed trials'
-   statistics and telemetry survive and the failure is accounted in the
-   summary (and the exit code). Failures are PRNG-driven like everything
-   else, so which trials fail is identical for every --jobs value. *)
-let pp_trial_failures errors =
-  if errors <> [] then begin
-    Printf.printf "trial failures      : %d\n" (List.length errors);
-    Format.printf "%a" Fleet.Supervise.pp_failures errors
-  end
-
-let supervised_results results =
-  let ok = ref [] and errors = ref [] in
-  Array.iteri
-    (fun i -> function
-      | Ok v -> ok := v :: !ok
-      | Error f -> errors := (Printf.sprintf "trial %d" i, f) :: !errors)
-    results;
-  (List.rev !ok, List.rev !errors)
-
-(* Flush per-trial buffer sinks into the events file in trial order
-   (identical for every --jobs value), skipping failed trials' partial
-   buffers — completed trials' telemetry is kept, half-written runs are
-   not. *)
-let flush_buffers ~results ~buffers sink =
-  Array.iteri
-    (fun i buffer ->
-      if Result.is_ok results.(i) then
-        String.split_on_char '\n' (Telemetry.Sink.contents buffer)
-        |> List.iter (fun line -> if line <> "" then Telemetry.Sink.write_line sink line))
-    buffers
-
-(* Batch mode (--trials > 1): run independent trials on a domain pool and
-   print summary statistics. Each trial's PRNG child is pre-split from the
-   root seed before dispatch, so the numbers are identical for every
-   --jobs value; the child drives both the scenario generator and the
-   simulation. *)
-let run_batch (type s) ~engine ~(protocol : s Engine.Protocol.t)
-    ~(kernel : s Ir.Kernel.t option) ~(gen : Prng.t -> s array) ~seed ~jobs ~trials
-    ~horizon_scale ~topology ~events ~metrics ~scenario =
-  let n = protocol.Engine.Protocol.n in
+(* Batch mode (--trials > 1): trials on a domain pool, each supervised, so
+   a raising trial is listed as a failure and its siblings still report;
+   the numbers and the events file are identical for every --jobs value. *)
+let run_batch ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics plan =
+  let (Run.Plan p) = plan in
+  let n = job.n and trials = job.trials in
   let t0 = Unix.gettimeofday () in
-  let children = Prng.split_many (Prng.create ~seed) trials in
-  (* Each trial writes into its own buffer sink; the buffers are flushed
-     to the events file in trial order afterwards, so the file content is
-     identical for every --jobs value. *)
-  let buffers =
-    if events = None then [||] else Array.init trials (fun _ -> Telemetry.Sink.buffer ())
+  let b = Run.batch ~jobs ~events:(events <> None) ~seed:job.seed ~trials plan in
+  let ok = List.filter_map Result.to_option (Array.to_list b.results) in
+  let errors =
+    List.concat
+      (List.mapi
+         (fun i -> function Ok _ -> [] | Error f -> [ (Printf.sprintf "trial %d" i, f) ])
+         (Array.to_list b.results))
   in
-  let reg = Telemetry.Metrics.create () in
-  if metrics <> None then Telemetry.Metrics.install reg;
-  let outcomes, pool_stats =
-    Fun.protect
-      ~finally:(fun () -> if metrics <> None then Telemetry.Metrics.uninstall ())
-      (fun () ->
-        Engine.Pool.with_pool ~jobs (fun pool ->
-            let outcomes =
-              Engine.Pool.init pool trials (fun i ->
-                  Fleet.Supervise.run (fun () ->
-                      let trial_t0 = Unix.gettimeofday () in
-                      let rng = children.(i) in
-                      let init = gen rng in
-                      let exec =
-                        Telemetry.Span.wrap "init_drain" (fun () ->
-                            make_exec ~engine ~protocol ~kernel ~init ~rng ~topology)
-                      in
-                      if events <> None then begin
-                        let run =
-                          Telemetry.Events.make_run ~engine
-                            ~protocol:protocol.Engine.Protocol.name ~n ~seed ~trial:i ()
-                        in
-                        Telemetry.Events.attach ~step_interval:(step_interval ~n) exec ~run
-                          buffers.(i)
-                      end;
-                      let outcome =
-                        Telemetry.Span.wrap "advance" (fun () ->
-                            Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking
-                              ~max_interactions:
-                                (Engine.Runner.default_horizon ~n
-                                   ~expected_time:(horizon_scale *. float_of_int n))
-                              ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-                              exec)
-                      in
-                      if metrics <> None then begin
-                        Telemetry.Metrics.record_exec exec;
-                        Telemetry.Metrics.observe reg "trial_wall_s"
-                          (Unix.gettimeofday () -. trial_t0)
-                      end;
-                      outcome))
-            in
-            (outcomes, Engine.Pool.stats pool)))
+  let pp_failures () =
+    if errors <> [] then begin
+      Printf.printf "trial failures      : %d\n" (List.length errors);
+      Format.printf "%a" Fleet.Supervise.pp_failures errors
+    end
   in
-  let ok, errors = supervised_results outcomes in
-  let times =
-    List.filter_map
-      (fun o ->
-        if o.Engine.Runner.converged then Some o.Engine.Runner.convergence_time else None)
-      ok
+  pp_header ~trials:jobs ~job plan;
+  let outcomes = List.map (fun (r : Run.result) -> r.outcome) ok in
+  let reports = List.filter_map (function Run.Soaked r -> Some r | Run.Stable _ -> None) outcomes in
+  let values, code =
+    match p.mode with
+    | Run.Stability _ ->
+        let times =
+          List.filter_map
+            (function
+              | Run.Stable o when o.converged -> Some o.convergence_time
+              | Run.Stable _ | Run.Soaked _ -> None)
+            outcomes
+        in
+        Printf.printf "converged           : %d of %d\n" (List.length times) trials;
+        pp_failures ();
+        if times <> [] then begin
+          let s = Stats.Summary.of_list times in
+          Printf.printf "stabilization time  : mean %.2f  median %.2f  p95 %.2f  max %.2f\n"
+            s.Stats.Summary.mean s.Stats.Summary.median s.Stats.Summary.p95 s.Stats.Summary.max
+        end;
+        ( [ ("converged", float_of_int (List.length times)); ("trials", float_of_int trials) ],
+          if List.length times = trials then 0 else 1 )
+    | Run.Soak { horizon; _ } ->
+        Printf.printf "horizon             : %.2f time units each (%d interactions)\n"
+          (float_of_int horizon /. float_of_int n)
+          horizon;
+        pp_failures ();
+        Chaos.Soak.print_pooled stdout ~n ~trials reports;
+        let avail = List.map (fun (r : Chaos.Soak.report) -> r.availability) reports in
+        let met = List.filter (fun (r : Chaos.Soak.report) -> r.sla.met) reports in
+        ( [
+            ("trials", float_of_int trials);
+            ( "availability_mean",
+              if avail = [] then 0.0 else (Stats.Summary.of_list avail).Stats.Summary.mean );
+            ("sla_trials_met", float_of_int (List.length met));
+          ],
+          (* SLA misses are data; a trial that raised is a harness failure. *)
+          if errors = [] then 0 else 1 )
   in
-  let failures = trials - List.length times in
-  Printf.printf "protocol            : %s\n" protocol.Engine.Protocol.name;
-  Printf.printf "engine              : %s\n" (Engine.Exec.kind_to_string engine);
-  pp_kernel_line kernel;
-  Printf.printf "population          : %d\n" n;
-  Printf.printf "trials              : %d (on %d domain%s)\n" trials jobs
-    (if jobs = 1 then "" else "s");
-  Printf.printf "converged           : %d of %d\n" (List.length times) trials;
-  pp_trial_failures errors;
-  if times <> [] then begin
-    let s = Stats.Summary.of_list times in
-    Printf.printf "stabilization time  : mean %.2f  median %.2f  p95 %.2f  max %.2f\n"
-      s.Stats.Summary.mean s.Stats.Summary.median s.Stats.Summary.p95 s.Stats.Summary.max
-  end;
-  let wall_clock_s = Unix.gettimeofday () -. t0 in
-  (match events with
-  | None -> ()
-  | Some path ->
-      let sink = Telemetry.Sink.file path in
-      flush_buffers ~results:outcomes ~buffers sink;
-      Telemetry.Sink.close sink;
-      write_manifest ~events_path:path ~protocol:protocol.Engine.Protocol.name ~engine ~n ~seed
-        ~trials ~jobs
-        ~params:
-          [
-            ("scenario", Telemetry.Json.String scenario);
-            ("topology", Telemetry.Json.String topology);
-            ("kernel", Telemetry.Json.String (kernel_name kernel));
-            ("horizon_scale", Telemetry.Json.Float horizon_scale);
-          ]
-        ~wall_clock_s);
-  (match metrics with
-  | None -> ()
-  | Some path ->
-      Array.iteri
-        (fun slot { Engine.Pool.tasks; busy_s } ->
-          Telemetry.Metrics.set reg (Printf.sprintf "pool.domain%d.tasks" slot)
-            (float_of_int tasks);
-          Telemetry.Metrics.set reg (Printf.sprintf "pool.domain%d.busy_s" slot) busy_s)
-        pool_stats;
-      Telemetry.Metrics.set reg "converged" (float_of_int (List.length times));
-      Telemetry.Metrics.set reg "trials" (float_of_int trials);
-      Telemetry.Metrics.write ~path reg);
-  if failures = 0 then 0 else 1
-
-(* Chaos mode (--chaos SPEC): soak the executor under a sustained fault
-   schedule instead of running to stability, and report availability. *)
-
-let pt ~n i = float_of_int i /. float_of_int n
-
-let pp_soak_report ~n (r : Chaos.Soak.report) =
-  Printf.printf "horizon             : %.2f time units (%d interactions)\n" (pt ~n r.Chaos.Soak.horizon)
-    r.Chaos.Soak.horizon;
-  Printf.printf "availability        : %.4f (%d of %d interactions correct)\n"
-    r.Chaos.Soak.availability r.Chaos.Soak.correct_interactions r.Chaos.Soak.total_interactions;
-  Printf.printf "schedule firings    : %d (%d agent states overwritten%s)\n" r.Chaos.Soak.firings
-    r.Chaos.Soak.faults_applied
-    (if r.Chaos.Soak.repins > 0 then Printf.sprintf ", %d re-pins" r.Chaos.Soak.repins else "");
-  Printf.printf "fault bursts        : %d (%d absorbed, %d recovered, %d censored)\n"
-    r.Chaos.Soak.bursts r.Chaos.Soak.absorbed r.Chaos.Soak.recoveries r.Chaos.Soak.sla.Chaos.Soak.censored;
-  Printf.printf "correctness losses  : %d\n" r.Chaos.Soak.violations;
-  (match (Chaos.Soak.mean_recovery r, Chaos.Soak.p95_recovery r, Chaos.Soak.max_recovery r) with
-  | Some mean, Some p95, Some mx ->
-      Printf.printf "recovery time       : mean %.2f  p95 %.2f  max %.2f (time units)\n" mean p95 mx
-  | _ -> ());
-  let sla = r.Chaos.Soak.sla in
-  Printf.printf "SLA                 : budget %.2f time units — %s\n" (pt ~n sla.Chaos.Soak.budget)
-    (if sla.Chaos.Soak.met then "MET"
-     else
-       Printf.sprintf "MISSED (%d over budget, %d censored)" sla.Chaos.Soak.misses
-         sla.Chaos.Soak.censored)
-
-let chaos_manifest_params ~scenario ~topology ~kernel ~spec ~(report : Chaos.Soak.report) =
-  [
-    ("scenario", Telemetry.Json.String scenario);
-    ("topology", Telemetry.Json.String topology);
-    ("kernel", Telemetry.Json.String kernel);
-    ("chaos", Telemetry.Json.String spec);
-    ("horizon_interactions", Telemetry.Json.Int report.Chaos.Soak.horizon);
-    ("sla_budget_interactions", Telemetry.Json.Int report.Chaos.Soak.sla.Chaos.Soak.budget);
-  ]
-
-let run_chaos_single (type s) ~engine ~(protocol : s Engine.Protocol.t)
-    ~(kernel : s Ir.Kernel.t option) ~(init : s array) ~(random_state : Prng.t -> s) ~seed
-    ~topology ~events ~metrics ~scenario ~spec ~schedule ~adversary ~sla_budget ~horizon =
-  let n = protocol.Engine.Protocol.n in
-  let t0 = Unix.gettimeofday () in
-  let reg = if metrics = None then None else Some (Telemetry.Metrics.create ()) in
-  Option.iter Telemetry.Metrics.install reg;
-  let finish () = if reg <> None then Telemetry.Metrics.uninstall () in
-  Fun.protect ~finally:finish @@ fun () ->
-  let rng = Prng.create ~seed in
-  let exec =
-    Telemetry.Span.wrap "init_drain" (fun () ->
-        make_exec ~engine ~protocol ~kernel ~init ~rng ~topology)
-  in
-  let sink = Option.map Telemetry.Sink.file events in
-  Option.iter
-    (fun sink ->
-      let run =
-        Telemetry.Events.make_run ~engine ~protocol:protocol.Engine.Protocol.name ~n ~seed ()
-      in
-      Telemetry.Events.attach ~step_interval:(step_interval ~n) exec ~run sink)
-    sink;
-  let report =
-    Telemetry.Span.wrap "soak" (fun () ->
-        Chaos.Soak.run ?sla_budget ~schedule ~adversary ~random_state ~rng ~horizon exec)
-  in
-  Printf.printf "protocol            : %s\n" protocol.Engine.Protocol.name;
-  Printf.printf "engine              : %s\n" (Engine.Exec.kind_to_string engine);
-  pp_kernel_line kernel;
-  Printf.printf "population          : %d\n" n;
-  Printf.printf "chaos               : %s\n" spec;
-  pp_soak_report ~n report;
-  let wall_clock_s = Unix.gettimeofday () -. t0 in
-  Option.iter
-    (fun sink ->
-      Telemetry.Sink.close sink;
-      write_manifest
-        ~events_path:(Option.get events)
-        ~protocol:protocol.Engine.Protocol.name ~engine ~n ~seed ~trials:1 ~jobs:1
-        ~params:
-          (chaos_manifest_params ~scenario ~topology ~kernel:(kernel_name kernel) ~spec ~report)
-        ~wall_clock_s)
-    sink;
-  (match (metrics, reg) with
-  | Some path, Some reg ->
-      Telemetry.Metrics.record_exec exec;
-      Telemetry.Metrics.observe reg "trial_wall_s" wall_clock_s;
-      Telemetry.Metrics.set reg "availability" report.Chaos.Soak.availability;
-      Telemetry.Metrics.write ~path reg
-  | _ -> ());
-  (* Chaos mode reports; the SLA verdict is data, not an exit code. *)
-  0
-
-let run_chaos_batch (type s) ~engine ~(protocol : s Engine.Protocol.t)
-    ~(kernel : s Ir.Kernel.t option) ~(gen : Prng.t -> s array) ~(random_state : Prng.t -> s)
-    ~seed ~jobs ~trials ~topology ~events ~metrics ~scenario ~spec ~schedule ~adversary
-    ~sla_budget ~horizon =
-  let n = protocol.Engine.Protocol.n in
-  let t0 = Unix.gettimeofday () in
-  let children = Prng.split_many (Prng.create ~seed) trials in
-  let buffers =
-    if events = None then [||] else Array.init trials (fun _ -> Telemetry.Sink.buffer ())
-  in
-  let reg = Telemetry.Metrics.create () in
-  if metrics <> None then Telemetry.Metrics.install reg;
-  let reports, pool_stats =
-    Fun.protect
-      ~finally:(fun () -> if metrics <> None then Telemetry.Metrics.uninstall ())
-      (fun () ->
-        Engine.Pool.with_pool ~jobs (fun pool ->
-            let reports =
-              Engine.Pool.init pool trials (fun i ->
-                  Fleet.Supervise.run (fun () ->
-                      let trial_t0 = Unix.gettimeofday () in
-                      let rng = children.(i) in
-                      let init = gen rng in
-                      let exec =
-                        Telemetry.Span.wrap "init_drain" (fun () ->
-                            make_exec ~engine ~protocol ~kernel ~init ~rng ~topology)
-                      in
-                      if events <> None then begin
-                        let run =
-                          Telemetry.Events.make_run ~engine
-                            ~protocol:protocol.Engine.Protocol.name ~n ~seed ~trial:i ()
-                        in
-                        Telemetry.Events.attach ~step_interval:(step_interval ~n) exec ~run
-                          buffers.(i)
-                      end;
-                      let report =
-                        Telemetry.Span.wrap "soak" (fun () ->
-                            Chaos.Soak.run ?sla_budget ~schedule ~adversary ~random_state ~rng
-                              ~horizon exec)
-                      in
-                      if metrics <> None then begin
-                        Telemetry.Metrics.record_exec exec;
-                        Telemetry.Metrics.observe reg "trial_wall_s"
-                          (Unix.gettimeofday () -. trial_t0)
-                      end;
-                      report))
-            in
-            (reports, Engine.Pool.stats pool)))
-  in
-  let rs, errors = supervised_results reports in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
-  let avail_mean =
-    if rs = [] then 0.0
-    else Stats.Summary.(of_list (List.map (fun r -> r.Chaos.Soak.availability) rs)).mean
-  in
-  let pooled = List.concat_map (fun r -> Array.to_list r.Chaos.Soak.recovery_times) rs in
-  let met = List.length (List.filter (fun r -> r.Chaos.Soak.sla.Chaos.Soak.met) rs) in
-  let misses = sum (fun r -> r.Chaos.Soak.sla.Chaos.Soak.misses) in
-  let censored = sum (fun r -> r.Chaos.Soak.sla.Chaos.Soak.censored) in
-  Printf.printf "protocol            : %s\n" protocol.Engine.Protocol.name;
-  Printf.printf "engine              : %s\n" (Engine.Exec.kind_to_string engine);
-  pp_kernel_line kernel;
-  Printf.printf "population          : %d\n" n;
-  Printf.printf "chaos               : %s\n" spec;
-  Printf.printf "trials              : %d (on %d domain%s)\n" trials jobs
-    (if jobs = 1 then "" else "s");
-  Printf.printf "horizon             : %.2f time units each (%d interactions)\n" (pt ~n horizon)
-    horizon;
-  pp_trial_failures errors;
-  if rs <> [] then begin
-    let avail =
-      Stats.Summary.of_list (List.map (fun r -> r.Chaos.Soak.availability) rs)
-    in
-    Printf.printf "availability        : mean %.4f  min %.4f  max %.4f\n"
-      avail.Stats.Summary.mean avail.Stats.Summary.min avail.Stats.Summary.max
-  end;
-  Printf.printf "schedule firings    : %d (%d agent states overwritten)\n"
-    (sum (fun r -> r.Chaos.Soak.firings))
-    (sum (fun r -> r.Chaos.Soak.faults_applied));
-  Printf.printf "fault bursts        : %d (%d absorbed, %d recovered, %d censored)\n"
-    (sum (fun r -> r.Chaos.Soak.bursts))
-    (sum (fun r -> r.Chaos.Soak.absorbed))
-    (sum (fun r -> r.Chaos.Soak.recoveries))
-    censored;
-  if pooled <> [] then begin
-    let s = Stats.Summary.of_list pooled in
-    Printf.printf "recovery time       : mean %.2f  p95 %.2f  max %.2f (pooled, time units)\n"
-      s.Stats.Summary.mean s.Stats.Summary.p95 s.Stats.Summary.max
-  end;
-  (match rs with
-  | first :: _ ->
-      Printf.printf "SLA                 : budget %.2f time units — %d/%d trials met"
-        (pt ~n first.Chaos.Soak.sla.Chaos.Soak.budget) met trials;
-      if met < trials then Printf.printf " (%d over budget, %d censored)" misses censored;
-      print_newline ()
-  | [] -> ());
-  let wall_clock_s = Unix.gettimeofday () -. t0 in
-  (match events with
-  | None -> ()
-  | Some path ->
-      let sink = Telemetry.Sink.file path in
-      flush_buffers ~results:reports ~buffers sink;
-      Telemetry.Sink.close sink;
-      write_manifest ~events_path:path ~protocol:protocol.Engine.Protocol.name ~engine ~n ~seed
-        ~trials ~jobs
-        ~params:
-          (match rs with
-          | first :: _ ->
-              chaos_manifest_params ~scenario ~topology ~kernel:(kernel_name kernel) ~spec
-                ~report:first
-          | [] -> [])
-        ~wall_clock_s);
-  (match metrics with
-  | None -> ()
-  | Some path ->
-      Array.iteri
-        (fun slot { Engine.Pool.tasks; busy_s } ->
-          Telemetry.Metrics.set reg (Printf.sprintf "pool.domain%d.tasks" slot)
-            (float_of_int tasks);
-          Telemetry.Metrics.set reg (Printf.sprintf "pool.domain%d.busy_s" slot) busy_s)
-        pool_stats;
-      Telemetry.Metrics.set reg "trials" (float_of_int trials);
-      Telemetry.Metrics.set reg "availability_mean" avail_mean;
-      Telemetry.Metrics.set reg "sla_trials_met" (float_of_int met);
-      Telemetry.Metrics.write ~path reg);
-  (* Chaos reports are data (SLA misses don't fail the run), but a trial
-     that *raised* is a harness failure and must surface in the exit. *)
-  if errors = [] then 0 else 1
+  Option.iter (Run.write_events b) events;
+  write_outputs ~job ~topology ~jobs ~events ~metrics ~t0
+    ?report:(match reports with r :: _ -> Some r | [] -> None)
+    plan
+    ~pool:b.pool
+    ~walls:(List.map (fun (r : Run.result) -> r.wall_s) ok)
+    values;
+  code
 
 let run_loose ~n ~seed ~verbose =
   let t_max = 4 * n in
   let protocol = Core.Loose.protocol ~n ~t_max in
   let rng = Prng.create ~seed in
-  let sim = Engine.Sim.make ~protocol ~init:(Core.Loose.uniform rng ~n ~t_max) ~rng in
+  let exec =
+    Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init:(Core.Loose.uniform rng ~n ~t_max)
+      ~rng ()
+  in
+  let interactions () = Engine.Exec.interactions exec in
+  let correct () = Engine.Exec.leader_correct exec in
+  let step () = ignore (Engine.Exec.advance exec ~until:max_int : bool) in
   let horizon = 100 * t_max * n in
-  while (not (Engine.Sim.leader_correct sim)) && Engine.Sim.interactions sim < horizon do
-    Engine.Sim.step sim
+  while (not (correct ())) && interactions () < horizon do
+    step ()
   done;
   Printf.printf "protocol            : %s\n" protocol.Engine.Protocol.name;
   Printf.printf "population          : %d (rules only use t_max=%d)\n" n t_max;
-  Printf.printf "unique leader       : %b after %.2f time units\n"
-    (Engine.Sim.leader_correct sim) (Engine.Sim.parallel_time sim);
+  Printf.printf "unique leader       : %b after %.2f time units\n" (correct ())
+    (Engine.Exec.parallel_time exec);
   if verbose then begin
-    let start = Engine.Sim.interactions sim in
-    while Engine.Sim.leader_correct sim && Engine.Sim.interactions sim - start < 50_000 * n do
-      Engine.Sim.step sim
+    let start = interactions () in
+    while correct () && interactions () - start < 50_000 * n do
+      step ()
     done;
-    if Engine.Sim.leader_correct sim then
-      Printf.printf "holding time        : > %.0f time units (budget exhausted)\n"
-        (float_of_int (Engine.Sim.interactions sim - start) /. float_of_int n)
-    else
-      Printf.printf "holding time        : %.0f time units (loose stabilization)\n"
-        (float_of_int (Engine.Sim.interactions sim - start) /. float_of_int n)
+    Printf.printf "holding time        : %s%.0f time units (%s)\n"
+      (if correct () then "> " else "")
+      (float_of_int (interactions () - start) /. float_of_int n)
+      (if correct () then "budget exhausted" else "loose stabilization")
   end;
-  if Engine.Sim.leader_correct sim || verbose then 0 else 1
+  if correct () || verbose then 0 else 1
 
-(* One protocol, ready to run under any mode combination. Packing the
-   state type existentially lets a single dispatch function own the
-   chaos / batch / kernel branching that used to be duplicated per
-   protocol arm. [enumerable] is [None] for protocols the IR compiler
-   cannot take (randomized, or descriptor mismatched to the simulated
-   parameterization) — [--kernel compiled] is rejected with [reason]. *)
-type runnable =
-  | Runnable : {
-      protocol : 's Engine.Protocol.t;
-      enumerable : ('s Engine.Enumerable.t, string) result;
-      gen : Prng.t -> 's array;
-      random_state : Prng.t -> 's;
-      horizon_scale : float;
-    }
-      -> runnable
-
-let dispatch (Runnable r) ~engine ~compiled ~seed ~scen_rng ~verbose ~jobs ~trials ~topology
-    ~events ~metrics ~scenario ~chaos ~sla_budget ~horizon =
-  let kernel =
-    if not compiled then None
-    else
-      match r.enumerable with
-      | Ok e -> Some (Ir.Kernel.compile e)
-      | Error reason ->
-          Printf.eprintf "--kernel compiled is not supported for %s: %s\n"
-            r.protocol.Engine.Protocol.name reason;
-          exit 2
-  in
-  let batch = trials > 1 in
-  match chaos with
-  | Some (spec, schedule, adversary) ->
-      if batch then
-        run_chaos_batch ~engine ~protocol:r.protocol ~kernel ~gen:r.gen
-          ~random_state:r.random_state ~seed ~jobs ~trials ~topology ~events ~metrics ~scenario
-          ~spec ~schedule ~adversary ~sla_budget ~horizon
-      else
-        run_chaos_single ~engine ~protocol:r.protocol ~kernel ~init:(r.gen scen_rng)
-          ~random_state:r.random_state ~seed ~topology ~events ~metrics ~scenario ~spec ~schedule
-          ~adversary ~sla_budget ~horizon
-  | None ->
-      if batch then
-        run_batch ~engine ~protocol:r.protocol ~kernel ~gen:r.gen ~seed ~jobs ~trials
-          ~horizon_scale:r.horizon_scale ~topology ~events ~metrics ~scenario
-      else
-        run_single ~engine ~protocol:r.protocol ~kernel ~init:(r.gen scen_rng) ~seed ~verbose
-          ~horizon_scale:r.horizon_scale ~topology ~events ~metrics ~scenario
-
-let main protocol_name n h scenario seed verbose topology engine_name kernel_mode trials jobs
-    events metrics chaos sla horizon =
-  let jobs = match jobs with Some j -> j | None -> Engine.Pool.default_jobs () in
-  if jobs < 1 then begin
-    Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
-    exit 2
-  end;
-  if trials < 1 then begin
-    Printf.eprintf "--trials must be >= 1 (got %d)\n" trials;
-    exit 2
-  end;
+let main protocol n h scenario seed verbose topology engine kernel trials jobs events metrics chaos
+    sla horizon =
   let engine =
-    match engine_name with
+    match engine with
     | "agent" -> Engine.Exec.Agent
     | "count" -> Engine.Exec.Count
-    | other ->
-        Printf.eprintf "unknown engine '%s' (agent | count)\n" other;
-        exit 2
+    | other -> usage (Printf.sprintf "unknown engine '%s' (agent | count)" other)
   in
-  let compiled =
-    match kernel_mode with
-    | "interp" -> false
-    | "compiled" -> true
-    | other ->
-        Printf.eprintf "unknown kernel '%s' (interp | compiled)\n" other;
-        exit 2
+  let kernel =
+    match kernel with
+    | "interp" -> Fleet.Job.Interp
+    | "compiled" -> Fleet.Job.Compiled
+    | other -> usage (Printf.sprintf "unknown kernel '%s' (interp | compiled)" other)
   in
-  let chaos =
-    match chaos with
-    | None ->
-        if sla <> None || horizon <> None then begin
-          Printf.eprintf "--sla and --horizon require --chaos\n";
-          exit 2
-        end;
-        None
-    | Some spec -> (
-        match Chaos.Spec.parse spec with
-        | Ok (schedule, adversary) -> Some (spec, schedule, adversary)
-        | Error msg ->
-            Printf.eprintf "--chaos: %s\n" msg;
-            exit 2)
+  (* An explicit --jobs is checked on every run; REPRO_JOBS is read only
+     by a batch, the one mode with a pool. *)
+  let jobs =
+    if jobs = None && trials <= 1 then 1
+    else match Engine.Pool.resolve_jobs jobs with Ok j -> j | Error msg -> usage msg
   in
-  (* --sla and --horizon are given in parallel time units; the soak runner
-     works on the interaction clock. *)
-  let to_interactions ~flag = function
-    | None -> None
-    | Some t when t > 0.0 -> Some (max 1 (int_of_float (Float.ceil (t *. float_of_int n))))
-    | Some t ->
-        Printf.eprintf "--%s must be > 0 time units (got %g)\n" flag t;
-        exit 2
-  in
-  let sla_budget = to_interactions ~flag:"sla" sla in
-  let horizon =
-    match to_interactions ~flag:"horizon" horizon with
-    | Some i -> i
-    | None -> 8 * Engine.Runner.default_confirm ~n
-  in
-  let scen_rng = Prng.create ~seed:(seed + 1000) in
-  let dispatch runnable =
-    dispatch runnable ~engine ~compiled ~seed ~scen_rng ~verbose ~jobs ~trials ~topology ~events
-      ~metrics ~scenario ~chaos ~sla_budget ~horizon
-  in
-  match protocol_name with
-  | "silent" ->
-      dispatch
-        (Runnable
-           {
-             protocol = Core.Silent_n_state.protocol ~n;
-             enumerable = Ok (Core.Silent_n_state.enumerable ~n);
-             gen = lookup_scenario ~kind:"silent" (Core.Scenarios.silent_catalogue ~n) scenario;
-             random_state = (fun rng -> Core.Scenarios.silent_random_state rng ~n);
-             horizon_scale = float_of_int n;
-           })
-  | "optimal" ->
-      let params = Core.Params.optimal_silent n in
-      dispatch
-        (Runnable
-           {
-             protocol = Core.Optimal_silent.protocol ~params ~n ();
-             enumerable = Ok (Core.Optimal_silent.enumerable ~params ~n ());
-             gen =
-               lookup_scenario ~kind:"optimal"
-                 (Core.Scenarios.optimal_catalogue ~params ~n)
-                 scenario;
-             random_state = (fun rng -> Core.Scenarios.optimal_random_state rng ~params ~n);
-             horizon_scale = 40.0;
-           })
-  | "sublinear" ->
-      let params = Core.Params.sublinear ~h n in
-      dispatch
-        (Runnable
-           {
-             protocol = Core.Sublinear.protocol ~params ~n ~h ();
-             enumerable = Error "the transition is randomized (it draws real coins)";
-             gen =
-               lookup_scenario ~kind:"sublinear"
-                 (Core.Scenarios.sublinear_catalogue ~params ~n)
-                 scenario;
-             random_state = (fun rng -> Core.Scenarios.sublinear_random_state rng ~params ~n);
-             horizon_scale = 40.0;
-           })
-  | "loose" ->
-      if compiled then begin
-        Printf.eprintf "--kernel compiled is not supported for the loose protocol\n";
-        exit 2
-      end;
-      if trials > 1 then begin
-        Printf.eprintf "--trials is not supported for the loose protocol\n";
-        exit 2
-      end;
-      if engine = Engine.Exec.Count then begin
-        Printf.eprintf "--engine count is not supported for the loose protocol\n";
-        exit 2
-      end;
-      if events <> None || metrics <> None then begin
-        Printf.eprintf "--events/--metrics are not supported for the loose protocol\n";
-        exit 2
-      end;
-      if chaos <> None then begin
-        Printf.eprintf "--chaos is not supported for the loose protocol\n";
-        exit 2
-      end;
-      run_loose ~n ~seed ~verbose
-  | other ->
-      Printf.eprintf "unknown protocol '%s' (silent | optimal | sublinear | loose)\n" other;
-      2
+  if protocol = "loose" then begin
+    let unsupported what = usage (what ^ " not supported for the loose protocol") in
+    if kernel = Fleet.Job.Compiled then unsupported "--kernel compiled is";
+    if trials > 1 then unsupported "--trials is";
+    if engine = Engine.Exec.Count then unsupported "--engine count is";
+    if events <> None || metrics <> None then unsupported "--events/--metrics are";
+    if chaos <> None || sla <> None || horizon <> None then unsupported "--chaos/--sla/--horizon are";
+    run_loose ~n ~seed ~verbose
+  end
+  else
+    let resolved =
+      Result.bind
+        (Fleet.Job.make ~id:"ssr_sim" ~protocol ~n ~h ~seed ~scenario ~engine ~kernel ~trials
+           ?chaos ?horizon ?sla ())
+        (fun job ->
+          Result.map (fun plan -> (job, plan)) (Fleet.Job.plan ?topology:(topology_of ~n topology) job))
+    in
+    match resolved with
+    | Error msg -> usage msg
+    | Ok (job, plan) ->
+        warn_annealed plan;
+        let metrics = Option.map (fun path -> (path, Telemetry.Metrics.create ())) metrics in
+        Option.iter (fun (_, reg) -> Telemetry.Metrics.install reg) metrics;
+        Fun.protect
+          ~finally:(fun () -> if metrics <> None then Telemetry.Metrics.uninstall ())
+          (fun () ->
+            if trials > 1 then run_batch ~job ~topology ~jobs ~events ~metrics plan
+            else run_single ~job ~verbose ~topology ~events ~metrics plan)
 
 open Cmdliner
 
-let protocol_arg =
-  let doc = "Protocol: silent (Silent-n-state-SSR), optimal (Optimal-Silent-SSR), sublinear (Sublinear-Time-SSR) or loose (loosely-stabilizing LE)." in
-  Arg.(value & opt string "optimal" & info [ "p"; "protocol" ] ~docv:"NAME" ~doc)
-
-let n_arg =
-  let doc = "Population size." in
-  Arg.(value & opt int 32 & info [ "n" ] ~docv:"N" ~doc)
-
-let h_arg =
-  let doc = "History depth H for the sublinear protocol (0 = direct detection)." in
-  Arg.(value & opt int 2 & info [ "H"; "depth" ] ~docv:"H" ~doc)
-
-let scenario_arg =
-  let doc = "Initial-configuration scenario (use a bogus name to list the options)." in
-  Arg.(value & opt string "uniform" & info [ "s"; "scenario" ] ~docv:"SCENARIO" ~doc)
-
-let seed_arg =
-  let doc = "PRNG seed." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let verbose_arg =
-  let doc = "Print the convergence timeline (for loose: also measure holding time)." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
-let topology_arg =
-  let doc =
-    "Interaction graph: complete, ring, star or regular4. The agent engine samples the graph's \
-     edges directly; the count engine lumps it by degree class (exact on star, annealed \
-     approximation — with a warning — on ring and regular4)."
-  in
-  Arg.(value & opt string "complete" & info [ "topology" ] ~docv:"GRAPH" ~doc)
-
-let engine_arg =
-  let doc =
-    "Executor: agent (every interaction simulated) or count (lazy count-based engine for \
-     deterministic protocols: exact null-interaction skipping with on-demand pair probing, and \
-     an exact silence oracle while the live-state set stays small — reaches populations of \
-     10⁶ on every deterministic protocol, e.g. $(b,-p optimal -n 1000000 -s correct))."
-  in
-  Arg.(value & opt string "agent" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let kernel_arg =
-  let doc =
-    "Transition kernel: interp (call the protocol's OCaml transition directly) or compiled \
-     (compile the protocol through the IR pipeline to packed int codes with a memoized \
-     transition table; observables are identical, throughput is higher — see DESIGN.md \
-     \"Protocol IR\"). Deterministic protocols with a declared state space only."
-  in
-  Arg.(value & opt string "interp" & info [ "kernel" ] ~docv:"KERNEL" ~doc)
-
-let trials_arg =
-  let doc =
-    "Run this many independent trials and print summary statistics instead of a single timeline."
-  in
-  Arg.(value & opt int 1 & info [ "trials" ] ~docv:"TRIALS" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Number of domains running trials in parallel (default: $(b,REPRO_JOBS) or the recommended \
-     domain count). Results are identical for every value."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
-
-let events_arg =
-  let doc =
-    "Write the run's instrumentation events to $(docv) as JSONL (schema v1; see DESIGN.md \
-     \"Telemetry\"). A run manifest is written next to it as $(docv).manifest.json. With \
-     --trials, every trial's events land in the same file, tagged with their trial index, in \
-     trial order regardless of --jobs."
-  in
-  Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Write a JSON metrics summary (engine counters, per-trial wall times, pool utilization) \
-     to $(docv) at the end of the run."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let chaos_arg =
-  let doc =
-    "Soak the run under a sustained fault schedule instead of running to stability, and report \
-     availability and recovery SLAs. $(docv) is a comma-separated spec combining schedule \
-     clauses (burst:AT, periodic:EVERY, poisson:RATE — RATE in faults per parallel time unit; \
-     compose with +) with exactly one adversary clause (corrupt:F, kill-leader, duplicate-rank, \
-     stuck:AGENTS:DURATION). Example: $(b,--chaos poisson:0.1,corrupt:0.05)."
-  in
-  Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"SPEC" ~doc)
-
-let sla_arg =
-  let doc =
-    "Recovery SLA budget in parallel time units (chaos mode only). A burst that breaks \
-     correctness must recover within the budget; default: 4 confirmation windows."
-  in
-  Arg.(value & opt (some float) None & info [ "sla" ] ~docv:"TIME" ~doc)
-
-let horizon_arg =
-  let doc =
-    "Soak length in parallel time units (chaos mode only; default: 8 confirmation windows)."
-  in
-  Arg.(value & opt (some float) None & info [ "horizon" ] ~docv:"TIME" ~doc)
+let arg kind default names docv doc = Arg.(value & opt kind default & info names ~docv ~doc)
 
 let cmd =
   let doc = "simulate self-stabilizing ranking / leader election population protocols" in
-  let info = Cmd.info "ssr_sim" ~version:"1.0" ~doc in
-  Cmd.v info
+  Cmd.v (Cmd.info "ssr_sim" ~version:"1.0" ~doc)
     Term.(
-      const main $ protocol_arg $ n_arg $ h_arg $ scenario_arg $ seed_arg $ verbose_arg
-      $ topology_arg $ engine_arg $ kernel_arg $ trials_arg $ jobs_arg $ events_arg $ metrics_arg
-      $ chaos_arg $ sla_arg $ horizon_arg)
+      const main
+      $ arg Arg.string "optimal" [ "p"; "protocol" ] "NAME"
+          "Protocol: silent (Silent-n-state-SSR), optimal (Optimal-Silent-SSR), sublinear \
+           (Sublinear-Time-SSR) or loose (loosely-stabilizing LE)."
+      $ arg Arg.int 32 [ "n" ] "N" "Population size."
+      $ arg Arg.int 2 [ "H"; "depth" ] "H"
+          "History depth H for the sublinear protocol (0 = direct detection)."
+      $ arg Arg.string "uniform" [ "s"; "scenario" ] "SCENARIO"
+          "Initial-configuration scenario (use a bogus name to list the options)."
+      $ arg Arg.int 1 [ "seed" ] "SEED" "PRNG seed."
+      $ Arg.(
+          value & flag
+          & info [ "v"; "verbose" ]
+              ~doc:"Print the convergence timeline (for loose: also measure holding time).")
+      $ arg Arg.string "complete" [ "topology" ] "GRAPH"
+          "Interaction graph: complete, ring, star or regular4. The agent engine samples the \
+           graph's edges directly; the count engine lumps it by degree class (exact on star, \
+           annealed approximation — with a warning — on ring and regular4)."
+      $ arg Arg.string "agent" [ "engine" ] "ENGINE"
+          "Executor: agent (every interaction simulated) or count (lazy count-based engine for \
+           deterministic protocols: exact null-interaction skipping with on-demand pair probing, \
+           and an exact silence oracle while the live-state set stays small — reaches \
+           populations of 10⁶ on every deterministic protocol, e.g. $(b,-p optimal -n 1000000 \
+           -s correct))."
+      $ arg Arg.string "interp" [ "kernel" ] "KERNEL"
+          "Transition kernel: interp (call the protocol's OCaml transition directly) or compiled \
+           (compile the protocol through the IR pipeline to packed int codes with a memoized \
+           transition table; observables are identical, throughput is higher — see DESIGN.md \
+           \"Protocol IR\"). Deterministic protocols with a declared state space only."
+      $ arg Arg.int 1 [ "trials" ] "TRIALS"
+          "Run this many independent trials and print summary statistics instead of a single \
+           timeline."
+      $ arg Arg.(some int) None [ "j"; "jobs" ] "JOBS"
+          "Number of domains running trials in parallel (default: $(b,REPRO_JOBS) or the \
+           recommended domain count). Results are identical for every value."
+      $ arg Arg.(some string) None [ "events" ] "FILE"
+          "Write the run's instrumentation events to $(docv) as JSONL (schema v1; see DESIGN.md \
+           \"Telemetry\"). A run manifest is written next to it as $(docv).manifest.json. With \
+           --trials, every trial's events land in the same file, tagged with their trial index, \
+           in trial order regardless of --jobs."
+      $ arg Arg.(some string) None [ "metrics" ] "FILE"
+          "Write a JSON metrics summary (engine counters, per-trial wall times, pool \
+           utilization) to $(docv) at the end of the run."
+      $ arg Arg.(some string) None [ "chaos" ] "SPEC"
+          "Soak the run under a sustained fault schedule instead of running to stability, and \
+           report availability and recovery SLAs. $(docv) is a comma-separated spec combining \
+           schedule clauses (burst:AT, periodic:EVERY, poisson:RATE — RATE in faults per \
+           parallel time unit; compose with +) with exactly one adversary clause (corrupt:F, \
+           kill-leader, duplicate-rank, stuck:AGENTS:DURATION). Example: $(b,--chaos \
+           poisson:0.1,corrupt:0.05)."
+      $ arg Arg.(some float) None [ "sla" ] "TIME"
+          "Recovery SLA budget in parallel time units (chaos mode only). A burst that breaks \
+           correctness must recover within the budget; default: 4 confirmation windows."
+      $ arg Arg.(some float) None [ "horizon" ] "TIME"
+          "Soak length in parallel time units (chaos mode only; default: 8 confirmation \
+           windows).")
 
 let () = exit (Cmd.eval' cmd)

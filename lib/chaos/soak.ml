@@ -18,9 +18,7 @@ type report = {
 
 let default_budget ~n = 4 * Engine.Runner.default_confirm ~n
 
-(* Open burst: interaction of its last fault + whether correctness has
-   been lost since the burst began (Timeline's [broke]). *)
-type burst = { mutable last_fault_at : int; mutable broke : bool }
+module Timeline = Telemetry.Timeline
 
 let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversary
     ~(random_state : Prng.t -> a) ~rng ~horizon (exec : a Engine.Exec.t) =
@@ -38,54 +36,35 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
   let horizon_abs = t0 + horizon in
   let clock = ref t0 in
   let correct = ref false in
-  let correct_interactions = ref 0 in
-  let violations = ref 0 in
   let firings = ref 0 in
   let faults_applied = ref 0 in
   let repins = ref 0 in
-  let bursts = ref 0 in
-  let absorbed = ref 0 in
-  let recoveries = ref 0 in
-  let recovery_interactions = ref [] in
-  let sla_misses = ref 0 in
-  let open_burst : burst option ref = ref None in
   let pins : a Adversary.pin list ref = ref [] in
+  (* Bursts, recoveries, violations and the correct share are the
+     Timeline fold of the landmarks below, fed as they happen — no
+     per-interaction subscriber. *)
+  let timeline = Timeline.acc () in
   let time () = float_of_int !clock /. nf in
   (* Correctness bookkeeping mirrors Runner: transitions are published on
      the executor's event stream, so telemetry subscribers see the same
      landmarks a stability run would produce. *)
+  let landmark ev =
+    Timeline.feed timeline ev;
+    Engine.Exec.emit exec ev
+  in
   let observe () =
     let now_correct = Engine.Runner.is_correct ~task exec in
-    if now_correct && not !correct then begin
-      correct := true;
-      (match !open_burst with
-      | Some b ->
-          (if b.broke then begin
-             let dt = !clock - b.last_fault_at in
-             incr recoveries;
-             recovery_interactions := dt :: !recovery_interactions;
-             if dt > budget then incr sla_misses
-           end
-           else incr absorbed);
-          open_burst := None
-      | None -> ());
-      Engine.Exec.emit exec
-        (Engine.Instrument.Correct_entered { interactions = !clock; time = time () })
-    end
-    else if (not now_correct) && !correct then begin
-      correct := false;
-      incr violations;
-      (match !open_burst with Some b -> b.broke <- true | None -> ());
-      Engine.Exec.emit exec
-        (Engine.Instrument.Correct_lost { interactions = !clock; time = time () })
+    if now_correct <> !correct then begin
+      correct := now_correct;
+      landmark
+        (if now_correct then
+           Engine.Instrument.Correct_entered { interactions = !clock; time = time () }
+         else Engine.Instrument.Correct_lost { interactions = !clock; time = time () })
     end
   in
-  let note_fault () =
-    match !open_burst with
-    | Some b -> b.last_fault_at <- !clock
-    | None ->
-        incr bursts;
-        open_burst := Some { last_fault_at = !clock; broke = false }
+  let note_fault agents =
+    Timeline.feed timeline
+      (Engine.Instrument.Fault { agents; interactions = !clock; time = time () })
   in
   let fire () =
     incr firings;
@@ -96,7 +75,7 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
           Adversary.apply ~rng:adversary_rng ~random_state ~now:!clock exec adversary)
     in
     faults_applied := !faults_applied + hit;
-    if hit > 0 then note_fault ();
+    if hit > 0 then note_fault hit;
     pins := !pins @ new_pins;
     observe ()
   in
@@ -124,7 +103,7 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
             Engine.Exec.inject exec agent state;
             incr repins;
             incr faults_applied;
-            note_fault ()
+            note_fault 1
           end)
         !pins;
       observe ()
@@ -136,48 +115,43 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
     let until =
       match next_arrival () with Some a when a < horizon_abs -> a | Some _ | None -> horizon_abs
     in
-    let before = !clock in
-    let was_correct = !correct in
     let (_ : bool) = Engine.Exec.advance exec ~until in
-    clock := Engine.Exec.interactions exec;
-    (* The state during (before, clock) is the state observed at [before]
-       — on the count engine the skipped null interactions change
-       nothing, and the productive event lands exactly at [clock] — so
-       crediting the whole span with the prior status is exact on both
+    (* The state during (before, clock) is the state observed before the
+       advance — on the count engine the skipped null interactions change
+       nothing, and the productive event lands exactly at [clock] — so the
+       correct share integrated between landmarks is exact on both
        engines. *)
-    if was_correct then correct_interactions := !correct_interactions + (!clock - before);
+    clock := Engine.Exec.interactions exec;
     enforce_pins ();
     observe ();
     fire_due ()
   done;
-  let censored =
-    match !open_burst with
-    | Some b when b.broke -> 1
-    | Some _ ->
-        incr absorbed;
-        0
-    | None -> 0
+  Timeline.close timeline ~interactions:!clock ~time:(time ());
+  let bursts = Timeline.bursts timeline in
+  let count p = List.length (List.filter p bursts) in
+  let broke (b : Timeline.burst) = b.Timeline.broke in
+  let recovered =
+    List.filter_map (fun b -> if broke b then Timeline.recovery_interactions b else None) bursts
   in
+  let misses = List.length (List.filter (fun dt -> dt > budget) recovered) in
+  let censored = count (fun b -> broke b && b.Timeline.recovered_interactions = None) in
   let total = !clock - t0 in
-  let recovery_times =
-    Array.of_list (List.rev_map (fun dt -> float_of_int dt /. nf) !recovery_interactions)
-  in
-  let sla = { budget; misses = !sla_misses; censored; met = !sla_misses = 0 && censored = 0 } in
+  let correct_interactions = Timeline.correct_interactions timeline in
   let report =
     {
       horizon;
       total_interactions = total;
-      correct_interactions = !correct_interactions;
-      availability = float_of_int !correct_interactions /. float_of_int total;
+      correct_interactions;
+      availability = float_of_int correct_interactions /. float_of_int total;
       firings = !firings;
       faults_applied = !faults_applied;
       repins = !repins;
-      bursts = !bursts;
-      absorbed = !absorbed;
-      recoveries = !recoveries;
-      recovery_times;
-      violations = !violations;
-      sla;
+      bursts = List.length bursts;
+      absorbed = count (fun b -> not (broke b));
+      recoveries = List.length recovered;
+      recovery_times = Array.of_list (List.map (fun dt -> float_of_int dt /. nf) recovered);
+      violations = Timeline.violations timeline;
+      sla = { budget; misses; censored; met = misses = 0 && censored = 0 };
     }
   in
   (match Telemetry.Metrics.ambient () with
@@ -204,3 +178,57 @@ let p95_recovery r =
 let max_recovery r =
   if Array.length r.recovery_times = 0 then None
   else Some (Array.fold_left Float.max neg_infinity r.recovery_times)
+
+let pt ~n i = float_of_int i /. float_of_int n
+
+let print_report oc ~n r =
+  Printf.fprintf oc "horizon             : %.2f time units (%d interactions)\n" (pt ~n r.horizon)
+    r.horizon;
+  Printf.fprintf oc "availability        : %.4f (%d of %d interactions correct)\n" r.availability
+    r.correct_interactions r.total_interactions;
+  Printf.fprintf oc "schedule firings    : %d (%d agent states overwritten%s)\n" r.firings
+    r.faults_applied
+    (if r.repins > 0 then Printf.sprintf ", %d re-pins" r.repins else "");
+  Printf.fprintf oc "fault bursts        : %d (%d absorbed, %d recovered, %d censored)\n" r.bursts
+    r.absorbed r.recoveries r.sla.censored;
+  Printf.fprintf oc "correctness losses  : %d\n" r.violations;
+  (match (mean_recovery r, p95_recovery r, max_recovery r) with
+  | Some mean, Some p95, Some mx ->
+      Printf.fprintf oc "recovery time       : mean %.2f  p95 %.2f  max %.2f (time units)\n" mean
+        p95 mx
+  | _ -> ());
+  Printf.fprintf oc "SLA                 : budget %.2f time units — %s\n" (pt ~n r.sla.budget)
+    (if r.sla.met then "MET"
+     else Printf.sprintf "MISSED (%d over budget, %d censored)" r.sla.misses r.sla.censored)
+
+let print_pooled oc ~n ~trials rs =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
+  if rs <> [] then begin
+    let avail = Stats.Summary.of_list (List.map (fun r -> r.availability) rs) in
+    Printf.fprintf oc "availability        : mean %.4f  min %.4f  max %.4f\n"
+      avail.Stats.Summary.mean avail.Stats.Summary.min avail.Stats.Summary.max
+  end;
+  Printf.fprintf oc "schedule firings    : %d (%d agent states overwritten)\n"
+    (sum (fun r -> r.firings))
+    (sum (fun r -> r.faults_applied));
+  let censored = sum (fun r -> r.sla.censored) in
+  Printf.fprintf oc "fault bursts        : %d (%d absorbed, %d recovered, %d censored)\n"
+    (sum (fun r -> r.bursts))
+    (sum (fun r -> r.absorbed))
+    (sum (fun r -> r.recoveries))
+    censored;
+  let pooled = List.concat_map (fun r -> Array.to_list r.recovery_times) rs in
+  if pooled <> [] then begin
+    let s = Stats.Summary.of_list pooled in
+    Printf.fprintf oc "recovery time       : mean %.2f  p95 %.2f  max %.2f (pooled, time units)\n"
+      s.Stats.Summary.mean s.Stats.Summary.p95 s.Stats.Summary.max
+  end;
+  match rs with
+  | first :: _ ->
+      let met = List.length (List.filter (fun r -> r.sla.met) rs) in
+      Printf.fprintf oc "SLA                 : budget %.2f time units — %d/%d trials met"
+        (pt ~n first.sla.budget) met trials;
+      if met < trials then
+        Printf.fprintf oc " (%d over budget, %d censored)" (sum (fun r -> r.sla.misses)) censored;
+      output_char oc '\n'
+  | [] -> ()

@@ -84,3 +84,13 @@ val mean_recovery : report -> float option
 val p95_recovery : report -> float option
 val max_recovery : report -> float option
 (** Summary accessors over [recovery_times]; [None] without recoveries. *)
+
+val print_report : out_channel -> n:int -> report -> unit
+(** The [ssr_sim --chaos] report block of one soak of population [n]:
+    horizon, availability, firings, bursts, correctness losses, recovery
+    times and the SLA verdict, one [label : value] line each. *)
+
+val print_pooled : out_channel -> n:int -> trials:int -> report list -> unit
+(** The same block over the completed soaks of a [trials]-trial batch:
+    availability spread, summed counts, pooled recovery times, and how
+    many trials met the SLA. *)

@@ -163,13 +163,13 @@ let of_count_sim (type a) (cs : a Count_sim.t) : a t =
       ]
   end)
 
-let make ?classes ~kind ~protocol ~init ~rng () =
-  match kind with
-  | Agent ->
-      (* [classes] only parameterizes the count engine's lumping; the
-         agent engine takes its topology through [Sim]'s sampler. *)
-      of_sim (Sim.make ~protocol ~init ~rng)
-  | Count -> of_count_sim (Count_sim.make ?classes ~protocol ~init ~rng ())
+let make ?topology ~kind ~protocol ~init ~rng () =
+  match (kind, topology) with
+  | Agent, None -> of_sim (Sim.make ~protocol ~init ~rng)
+  | Agent, Some t -> of_sim (Sim.make_with ~sampler:(Topology.sampler t) ~protocol ~init ~rng)
+  | Count, _ ->
+      let classes = Option.map Topology.degree_classes topology in
+      of_count_sim (Count_sim.make ?classes ~protocol ~init ~rng ())
 
 let protocol (type a) ((module E) : a t) = E.protocol
 let n (type a) ((module E) : a t) = E.protocol.Protocol.n

@@ -22,8 +22,8 @@
     - {!on}: subscription to the {!Instrument} event stream ([Step],
       [Correct_entered], [Correct_lost], [Silence], [Fault]).
 
-    Construct with {!of_sim} / {!of_count_sim} to wrap an engine you
-    already hold, or {!make} to pick by {!kind}. *)
+    Construct with {!make} to pick by {!kind} (and topology), or with
+    {!of_sim} / {!of_count_sim} to wrap an engine you already hold. *)
 
 module type INSTANCE = sig
   type state
@@ -104,18 +104,22 @@ val of_count_sim : 'a Count_sim.t -> 'a t
 (** Wrap a count-based simulation. Same caveat as {!of_sim}. *)
 
 val make :
-  ?classes:Topology.classes ->
+  ?topology:Topology.t ->
   kind:kind ->
   protocol:'a Protocol.t ->
   init:'a array ->
   rng:Prng.t ->
   unit ->
   'a t
-(** Build a fresh engine of the given kind and wrap it. [Count] requires
+(** Build a fresh engine of the given kind and wrap it — the one place an
+    executor is constructed from a protocol. [Count] requires
     [protocol.deterministic] (raises [Invalid_argument] otherwise, like
-    {!Count_sim.make}) and honors [classes] (degree-class lumping; see
-    {!Count_sim.make}). The agent engine ignores [classes] — its topology
-    comes in through [Sim]'s scheduler sampler. *)
+    {!Count_sim.make}). [topology] restricts the interaction graph
+    (default: complete): the agent engine draws its pairs from
+    {!Topology.sampler}, the count engine lumps the population by
+    {!Topology.degree_classes} (exact on a star, the annealed
+    approximation on a ring or a random regular graph; see
+    {!Count_sim.make}). *)
 
 (** {2 Plain-function view}
 

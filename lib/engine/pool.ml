@@ -39,15 +39,20 @@ let stats pool =
   Mutex.unlock pool.stats_mutex;
   out
 
+let resolve_jobs = function
+  | Some j when j >= 1 -> Ok j
+  | Some j -> Error (Printf.sprintf "--jobs must be >= 1 (got %d)" j)
+  | None -> (
+      match Sys.getenv_opt "REPRO_JOBS" with
+      | None -> Ok (Domain.recommended_domain_count ())
+      | Some s -> (
+          match int_of_string_opt (String.trim s) with
+          | Some j when j >= 1 -> Ok j
+          | Some _ | None ->
+              Error (Printf.sprintf "REPRO_JOBS=%S: expected a positive integer" s)))
+
 let default_jobs () =
-  match Sys.getenv_opt "REPRO_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "REPRO_JOBS=%S: expected a positive integer" s))
-  | None -> Domain.recommended_domain_count ()
+  match resolve_jobs None with Ok j -> j | Error msg -> invalid_arg msg
 
 let jobs pool = pool.jobs
 

@@ -29,10 +29,18 @@
 type t
 (** A pool of worker domains with a shared work queue. *)
 
+val resolve_jobs : int option -> (int, string) result
+(** The parallelism a [--jobs] flag asks for: the flag's value when
+    given, otherwise the [REPRO_JOBS] environment variable when set,
+    otherwise [Domain.recommended_domain_count ()]. A value below 1 or a
+    [REPRO_JOBS] that is not a positive integer is an [Error] carrying
+    the usage message; never raises. Every command-line tool resolves
+    its jobs here and exits 2 on the error. *)
+
 val default_jobs : unit -> int
-(** The [REPRO_JOBS] environment variable when set (must be a positive
-    integer), otherwise [Domain.recommended_domain_count ()]. This is the
-    default parallelism of every [--jobs] flag in the repository. *)
+(** [resolve_jobs None], raising [Invalid_argument] with the message on
+    a malformed [REPRO_JOBS] — the default of library entry points that
+    take an optional [jobs]. *)
 
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs - 1] worker domains ([jobs >= 1]; raises

@@ -1,4 +1,3 @@
-type engine = Agent | Count
 type kernel = Interp | Compiled
 
 type t = {
@@ -8,7 +7,7 @@ type t = {
   h : int;
   seed : int;
   scenario : string;
-  engine : engine;
+  engine : Engine.Exec.kind;
   kernel : kernel;
   trials : int;
   chaos : string option;
@@ -19,7 +18,6 @@ type t = {
   group : string;
 }
 
-let engine_to_string = function Agent -> "agent" | Count -> "count"
 let kernel_to_string = function Interp -> "interp" | Compiled -> "compiled"
 
 let id_ok id =
@@ -33,46 +31,43 @@ let id_ok id =
          || c = '_' || c = '-' || c = '.')
        id
 
-let protocols = [ "silent"; "optimal"; "sublinear" ]
-
 (* All structural validation lives here, at admission time, so a worker
-   never has to [exit 2] mid-fleet the way the single-run CLI does. *)
+   never has to [exit 2] mid-fleet the way the single-run CLI does. The
+   protocol, scenario, engine and kernel are checked against [Run]'s
+   catalogue, the table the worker runs from. *)
 let validate t =
+  let fail fmt = Printf.ksprintf (fun msg -> Error (Printf.sprintf "job %s: %s" t.id msg)) fmt in
   if not (id_ok t.id) then
     Error
       (Printf.sprintf "job id %S must be 1-64 chars of [A-Za-z0-9_.-] (it names output files)"
          t.id)
-  else if not (List.mem t.protocol protocols) then
-    Error
-      (Printf.sprintf "job %s: unknown protocol %S (silent | optimal | sublinear)" t.id
-         t.protocol)
-  else if t.n < 2 then Error (Printf.sprintf "job %s: n must be >= 2 (got %d)" t.id t.n)
-  else if t.h < 0 then Error (Printf.sprintf "job %s: h must be >= 0 (got %d)" t.id t.h)
-  else if t.trials < 1 then
-    Error (Printf.sprintf "job %s: trials must be >= 1 (got %d)" t.id t.trials)
-  else if t.retries < 0 then
-    Error (Printf.sprintf "job %s: retries must be >= 0 (got %d)" t.id t.retries)
-  else if t.engine = Count && t.protocol = "sublinear" then
-    Error (Printf.sprintf "job %s: the count engine requires a deterministic protocol" t.id)
-  else if t.kernel = Compiled && t.protocol = "sublinear" then
-    Error (Printf.sprintf "job %s: the sublinear protocol has no compiled kernel" t.id)
+  else if t.n < 2 then fail "n must be >= 2 (got %d)" t.n
+  else if t.h < 0 then fail "h must be >= 0 (got %d)" t.h
+  else if t.trials < 1 then fail "trials must be >= 1 (got %d)" t.trials
+  else if t.retries < 0 then fail "retries must be >= 0 (got %d)" t.retries
   else if (match t.deadline with Some d -> d < 1 | None -> false) then
-    Error (Printf.sprintf "job %s: deadline must be >= 1 interaction" t.id)
+    fail "deadline must be >= 1 interaction"
   else if (match t.horizon with Some x -> x <= 0.0 | None -> false) then
-    Error (Printf.sprintf "job %s: horizon must be > 0 time units" t.id)
+    fail "horizon must be > 0 time units"
   else if (match t.sla with Some x -> x <= 0.0 | None -> false) then
-    Error (Printf.sprintf "job %s: sla must be > 0 time units" t.id)
+    fail "sla must be > 0 time units"
   else if (t.horizon <> None || t.sla <> None) && t.chaos = None then
-    Error (Printf.sprintf "job %s: horizon/sla require a chaos spec" t.id)
+    fail "horizon/sla require a chaos spec"
   else
-    match t.chaos with
-    | None -> Ok t
-    | Some spec -> (
-        match Chaos.Spec.parse spec with
-        | Ok _ -> Ok t
-        | Error msg -> Error (Printf.sprintf "job %s: chaos: %s" t.id msg))
+    match
+      Run.check ~protocol:t.protocol ~n:t.n ~h:t.h ~scenario:t.scenario ~engine:t.engine
+        ~compiled:(t.kernel = Compiled)
+    with
+    | Error msg -> fail "%s" msg
+    | Ok () -> (
+        match t.chaos with
+        | None -> Ok t
+        | Some spec -> (
+            match Chaos.Spec.parse spec with
+            | Ok _ -> Ok t
+            | Error msg -> fail "chaos: %s" msg))
 
-let make ~id ~protocol ~n ?(h = 2) ~seed ?(scenario = "uniform") ?(engine = Agent)
+let make ~id ~protocol ~n ?(h = 2) ~seed ?(scenario = "uniform") ?(engine = Engine.Exec.Agent)
     ?(kernel = Interp) ?(trials = 1) ?chaos ?horizon ?sla ?deadline ?(retries = 2) ?group () =
   validate
     {
@@ -133,8 +128,8 @@ let of_json json =
       let* engine_s = string_field ~default:"agent" "engine" json in
       let* engine =
         match engine_s with
-        | "agent" -> Ok Agent
-        | "count" -> Ok Count
+        | "agent" -> Ok Engine.Exec.Agent
+        | "count" -> Ok Engine.Exec.Count
         | other -> Error (Printf.sprintf "field \"engine\": %S is not agent | count" other)
       in
       let* kernel_s = string_field ~default:"interp" "kernel" json in
@@ -186,7 +181,7 @@ let to_json t =
       ("h", Telemetry.Json.Int t.h);
       ("seed", Telemetry.Json.Int t.seed);
       ("scenario", Telemetry.Json.String t.scenario);
-      ("engine", Telemetry.Json.String (engine_to_string t.engine));
+      ("engine", Telemetry.Json.String (Engine.Exec.kind_to_string t.engine));
       ("kernel", Telemetry.Json.String (kernel_to_string t.kernel));
       ("trials", Telemetry.Json.Int t.trials);
       ("chaos", opt (fun s -> Telemetry.Json.String s) t.chaos);
@@ -196,3 +191,30 @@ let to_json t =
       ("retries", Telemetry.Json.Int t.retries);
       ("group", Telemetry.Json.String t.group);
     ]
+
+(* --horizon and --sla are given in parallel time units; the soak runs on
+   the interaction clock. *)
+let to_interactions ~n t = max 1 (int_of_float (Float.ceil (t *. float_of_int n)))
+
+let plan ?topology t =
+  let mode =
+    match t.chaos with
+    | None -> Ok (Run.Stability { deadline = t.deadline })
+    | Some spec ->
+        Result.map
+          (fun (schedule, adversary) ->
+            Run.Soak
+              {
+                schedule;
+                adversary;
+                horizon =
+                  (match t.horizon with
+                  | Some x -> to_interactions ~n:t.n x
+                  | None -> 8 * Engine.Runner.default_confirm ~n:t.n);
+                sla_budget = Option.map (to_interactions ~n:t.n) t.sla;
+              })
+          (Chaos.Spec.parse spec)
+  in
+  Result.bind mode
+    (Run.plan ?topology ~protocol:t.protocol ~n:t.n ~h:t.h ~scenario:t.scenario ~engine:t.engine
+       ~compiled:(t.kernel = Compiled))

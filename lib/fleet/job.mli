@@ -16,17 +16,16 @@
     the complete interaction graph (the paper's model); restricted
     topologies stay in [ssr_sim]. *)
 
-type engine = Agent | Count
 type kernel = Interp | Compiled
 
 type t = {
   id : string;  (** unique in the fleet; 1-64 chars of [A-Za-z0-9_.-] (names the job's output files) *)
-  protocol : string;  (** silent | optimal | sublinear *)
+  protocol : string;  (** silent | optimal | sublinear ({!Run.protocols}) *)
   n : int;  (** population size, >= 2 *)
   h : int;  (** sublinear history depth (default 2) *)
   seed : int;  (** PRNG root for the job (default 1) *)
   scenario : string;  (** initial-configuration scenario (default uniform) *)
-  engine : engine;  (** default Agent; Count requires a deterministic protocol *)
+  engine : Engine.Exec.kind;  (** default Agent; Count requires a deterministic protocol *)
   kernel : kernel;  (** default Interp *)
   trials : int;  (** independent trials in the job (default 1) *)
   chaos : string option;  (** [Chaos.Spec] — soak instead of run-to-stability *)
@@ -47,7 +46,7 @@ val make :
   ?h:int ->
   seed:int ->
   ?scenario:string ->
-  ?engine:engine ->
+  ?engine:Engine.Exec.kind ->
   ?kernel:kernel ->
   ?trials:int ->
   ?chaos:string ->
@@ -61,9 +60,10 @@ val make :
 (** Builds and validates a spec (same checks as {!of_json}). *)
 
 val of_json : Telemetry.Json.t -> (t, string) result
-(** Parses and fully validates one spec: id shape, known protocol,
-    engine/kernel compatibility (count or compiled kernel with a
-    randomized protocol is rejected here), ranges, and the chaos spec via
+(** Parses and fully validates one spec: id shape, ranges, the
+    protocol, scenario, engine and kernel against {!Run.check} (an
+    unknown scenario, or a count engine or compiled kernel with a
+    randomized protocol, is rejected here), and the chaos spec via
     [Chaos.Spec.parse]. *)
 
 val of_line : string -> (t, string) result
@@ -73,5 +73,12 @@ val to_json : t -> Telemetry.Json.t
 (** Canonical encoding; [of_json (to_json t) = Ok t]. The journal stores
     specs in this form. *)
 
-val engine_to_string : engine -> string
 val kernel_to_string : kernel -> string
+
+val plan : ?topology:Engine.Topology.t -> t -> (Run.plan, string) result
+(** The spec as a {!Run.plan}: [chaos] selects a soak of [horizon]
+    (default: 8 confirmation windows) with recovery budget [sla], both
+    converted from parallel time to interactions (rounded up); otherwise
+    a run to stability bounded by [deadline]. Compiles the kernel when
+    [kernel = Compiled]. [topology] is for the single-run CLI: fleet jobs
+    run on the complete graph. *)

@@ -1,12 +1,3 @@
-exception Deadline_exceeded of { interactions : int; deadline : int }
-
-let () =
-  Printexc.register_printer (function
-    | Deadline_exceeded { interactions; deadline } ->
-        Some
-          (Printf.sprintf "deadline exceeded (%d interactions, budget %d)" interactions deadline)
-    | _ -> None)
-
 type outcome = {
   job : Job.t;
   attempt : int;
@@ -17,79 +8,6 @@ type outcome = {
   manifest_path : string;
 }
 
-(* Mirrors ssr_sim's existential packing: one dispatch loop owns the
-   engine / kernel / chaos branching for every protocol. Fleet jobs run
-   on the complete interaction graph, so there is no topology arm. *)
-type runnable =
-  | Runnable : {
-      protocol : 's Engine.Protocol.t;
-      enumerable : ('s Engine.Enumerable.t, string) result;
-      gen : Prng.t -> 's array;
-      random_state : Prng.t -> 's;
-      horizon_scale : float;
-    }
-      -> runnable
-
-let lookup_scenario ~job catalogue =
-  match List.assoc_opt job.Job.scenario catalogue with
-  | Some gen -> gen
-  | None ->
-      failwith
-        (Printf.sprintf "unknown %s scenario %S (available: %s)" job.Job.protocol
-           job.Job.scenario
-           (String.concat ", " (List.map fst catalogue)))
-
-let runnable_of_job (job : Job.t) =
-  let n = job.Job.n in
-  match job.Job.protocol with
-  | "silent" ->
-      Runnable
-        {
-          protocol = Core.Silent_n_state.protocol ~n;
-          enumerable = Ok (Core.Silent_n_state.enumerable ~n);
-          gen = lookup_scenario ~job (Core.Scenarios.silent_catalogue ~n);
-          random_state = (fun rng -> Core.Scenarios.silent_random_state rng ~n);
-          horizon_scale = float_of_int n;
-        }
-  | "optimal" ->
-      let params = Core.Params.optimal_silent n in
-      Runnable
-        {
-          protocol = Core.Optimal_silent.protocol ~params ~n ();
-          enumerable = Ok (Core.Optimal_silent.enumerable ~params ~n ());
-          gen = lookup_scenario ~job (Core.Scenarios.optimal_catalogue ~params ~n);
-          random_state = (fun rng -> Core.Scenarios.optimal_random_state rng ~params ~n);
-          horizon_scale = 40.0;
-        }
-  | "sublinear" ->
-      let h = job.Job.h in
-      let params = Core.Params.sublinear ~h n in
-      Runnable
-        {
-          protocol = Core.Sublinear.protocol ~params ~n ~h ();
-          enumerable = Error "the transition is randomized";
-          gen = lookup_scenario ~job (Core.Scenarios.sublinear_catalogue ~params ~n);
-          random_state = (fun rng -> Core.Scenarios.sublinear_random_state rng ~params ~n);
-          horizon_scale = 40.0;
-        }
-  | other -> failwith (Printf.sprintf "unknown protocol %S" other)
-
-let exec_kind (job : Job.t) =
-  match job.Job.engine with Job.Agent -> Engine.Exec.Agent | Job.Count -> Engine.Exec.Count
-
-let make_exec (type s) ~(job : Job.t) ~(protocol : s Engine.Protocol.t)
-    ~(kernel : s Ir.Kernel.t option) ~(init : s array) ~rng : s Engine.Exec.t =
-  let kind = exec_kind job in
-  match kernel with
-  | Some k -> Ir.Kernel.exec ~kind k ~init ~rng
-  | None -> (
-      match kind with
-      | Engine.Exec.Count -> Engine.Exec.make ~kind ~protocol ~init ~rng ()
-      | Engine.Exec.Agent -> Engine.Exec.of_sim (Engine.Sim.make ~protocol ~init ~rng))
-
-let step_interval ~n = max 1 (n / 2)
-let to_interactions ~n t = max 1 (int_of_float (Float.ceil (t *. float_of_int n)))
-
 let events_path ~out_dir (job : Job.t) = Filename.concat out_dir (job.Job.id ^ ".events.jsonl")
 
 let manifest_path ~out_dir (job : Job.t) =
@@ -97,80 +15,33 @@ let manifest_path ~out_dir (job : Job.t) =
 
 let run ~out_dir ?kill_at ?(stall = false) ~attempt (job : Job.t) =
   let t0 = Unix.gettimeofday () in
-  let (Runnable r) = runnable_of_job job in
-  let { Job.n; seed; trials; _ } = job in
-  let kernel =
-    match (job.Job.kernel, r.enumerable) with
-    | Job.Interp, _ -> None
-    | Job.Compiled, Ok e -> Some (Ir.Kernel.compile e)
-    | Job.Compiled, Error reason ->
-        (* Job validation rejects this; a journal edited by hand can
-           still reach here, so fail the attempt rather than assert. *)
-        failwith (Printf.sprintf "compiled kernel unavailable: %s" reason)
+  let plan =
+    (* Admission validated the spec; a journal edited by hand can still
+       reach here, so fail the attempt rather than assert. *)
+    match Job.plan job with Ok plan -> plan | Error msg -> failwith msg
   in
-  let chaos =
-    Option.map
-      (fun spec ->
-        match Chaos.Spec.parse spec with
-        | Ok (schedule, adversary) -> (schedule, adversary)
-        | Error msg -> failwith (Printf.sprintf "chaos: %s" msg))
-      job.Job.chaos
+  let kill at =
+    {
+      Run.hook =
+        (fun exec ->
+          Engine.Exec.on exec (fun ev ->
+              if Engine.Instrument.interactions ev >= at then raise Chaos.Fleet_faults.Killed));
+    }
   in
   (* The entropy for trial [i] depends only on (job.seed, i): identical on
      every attempt, worker and resume — the heart of the determinism
      contract. The per-attempt chaos/backoff draws live in the
-     orchestrator, never here. *)
-  let children = Prng.split_many (Prng.create ~seed) trials in
-  let buffers = Array.init trials (fun _ -> Telemetry.Sink.buffer ()) in
-  let converged = ref 0 in
-  for i = 0 to trials - 1 do
-    let rng = children.(i) in
-    let init = r.gen rng in
-    let exec = make_exec ~job ~protocol:r.protocol ~kernel ~init ~rng in
-    Option.iter
-      (fun at ->
-        Engine.Exec.on exec (fun ev ->
-            if Engine.Instrument.interactions ev >= at then raise Chaos.Fleet_faults.Killed))
-      kill_at;
-    let run_meta =
-      Telemetry.Events.make_run ~engine:(exec_kind job) ~protocol:r.protocol.Engine.Protocol.name
-        ~n ~seed ~trial:i ()
-    in
-    Telemetry.Events.attach ~step_interval:(step_interval ~n) exec ~run:run_meta buffers.(i);
-    (match chaos with
-    | Some (schedule, adversary) ->
-        let horizon =
-          match job.Job.horizon with
-          | Some t -> to_interactions ~n t
-          | None -> 8 * Engine.Runner.default_confirm ~n
-        in
-        let sla_budget = Option.map (to_interactions ~n) job.Job.sla in
-        let report =
-          Chaos.Soak.run ?sla_budget ~schedule ~adversary ~random_state:r.random_state ~rng
-            ~horizon exec
-        in
-        if report.Chaos.Soak.sla.Chaos.Soak.met then incr converged
-    | None ->
-        let horizon =
-          Engine.Runner.default_horizon ~n ~expected_time:(r.horizon_scale *. float_of_int n)
-        in
-        let max_interactions =
-          match job.Job.deadline with Some d -> min d horizon | None -> horizon
-        in
-        let outcome =
-          Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking ~max_interactions
-            ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-            exec
-        in
-        (match job.Job.deadline with
-        | Some d when not outcome.Engine.Runner.converged ->
-            raise
-              (Deadline_exceeded
-                 { interactions = outcome.Engine.Runner.total_interactions; deadline = d })
-        | _ -> ());
-        if outcome.Engine.Runner.converged then incr converged);
-    Telemetry.Metrics.record_exec exec
-  done;
+     orchestrator, never here. No pool: the first raising trial ends the
+     attempt. *)
+  let batch =
+    Run.batch ?hook:(Option.map kill kill_at) ~events:true ~seed:job.Job.seed
+      ~trials:job.Job.trials plan
+  in
+  let converged =
+    Array.fold_left
+      (fun acc r -> match r with Ok { Run.outcome; _ } when Run.succeeded outcome -> acc + 1 | _ -> acc)
+      0 batch.Run.results
+  in
   (* A kill drawn past the last event the trials produced must still
      fail the attempt: the buffers are discarded either way, so raising
      here is observationally the same as the in-run hook firing. *)
@@ -182,21 +53,15 @@ let run ~out_dir ?kill_at ?(stall = false) ~attempt (job : Job.t) =
      byte-identical events, so the files are exactly-once in content even
      when execution is at-least-once. *)
   let ev_path = events_path ~out_dir job in
-  let sink = Telemetry.Sink.file ev_path in
-  Array.iter
-    (fun buffer ->
-      String.split_on_char '\n' (Telemetry.Sink.contents buffer)
-      |> List.iter (fun line -> if line <> "" then Telemetry.Sink.write_line sink line))
-    buffers;
-  Telemetry.Sink.close sink;
+  Run.write_events batch ev_path;
   let wall_s = Unix.gettimeofday () -. t0 in
   let mf_path = manifest_path ~out_dir job in
   let manifest =
     Telemetry.Manifest.make
       ~run:("fleet:" ^ job.Job.id)
       ~protocol:job.Job.protocol
-      ~engine:(Job.engine_to_string job.Job.engine)
-      ~n ~seed ~trials
+      ~engine:(Engine.Exec.kind_to_string job.Job.engine)
+      ~n:job.Job.n ~seed:job.Job.seed ~trials:job.Job.trials
       ~params:
         ([
            ("scenario", Telemetry.Json.String job.Job.scenario);
@@ -216,8 +81,8 @@ let run ~out_dir ?kill_at ?(stall = false) ~attempt (job : Job.t) =
   {
     job;
     attempt;
-    converged = !converged;
-    trials;
+    converged;
+    trials = job.Job.trials;
     wall_s;
     events_path = ev_path;
     manifest_path = mf_path;

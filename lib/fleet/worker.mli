@@ -1,12 +1,13 @@
 (** One supervised job attempt: run the trials, then publish outputs.
 
-    A worker executes every trial of a job sequentially inside one pool
-    task, buffering telemetry in memory; only a fully successful attempt
+    A worker is {!Run.batch} without a pool — every trial of the job in
+    order inside one pool task, buffering telemetry in memory — plus its
+    deadline, kill hook and output writing; only a fully successful attempt
     flushes the events file and writes the manifest (events first,
     manifest second, caller's journal entry third — see
     {!Journal.replay} for why that order makes crash recovery
     idempotent). A failed attempt — protocol exception, blown
-    {!Job.deadline}, injected {!Chaos.Fleet_faults.Killed} /
+    {!Job.deadline} ({!Run.Deadline_exceeded}), injected {!Chaos.Fleet_faults.Killed} /
     [Stalled] — leaves {e no} partial outputs behind and surfaces as the
     raised exception, which the orchestrator traps with
     {!Supervise.run}.
@@ -15,8 +16,6 @@
     fixed spec the events file content is a pure function of the spec:
     bit-identical across attempts, worker counts, and kill/resume
     cycles. *)
-
-exception Deadline_exceeded of { interactions : int; deadline : int }
 
 type outcome = {
   job : Job.t;

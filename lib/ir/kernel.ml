@@ -81,19 +81,9 @@ let stats k =
     ("kernel.exact", if exact k then 1. else 0.);
   ]
 
-let exec (type s) ?sampler ?classes ~kind (k : s t) ~(init : s array) ~rng : s Engine.Exec.t =
-  let icodes = Array.map (encode k) init in
-  let inner : int Engine.Exec.t =
-    match (kind, sampler) with
-    | Engine.Exec.Agent, Some sampler ->
-        Engine.Exec.of_sim (Engine.Sim.make_with ~sampler ~protocol:k.compiled ~init:icodes ~rng)
-    | Engine.Exec.Agent, None ->
-        Engine.Exec.of_sim (Engine.Sim.make ~protocol:k.compiled ~init:icodes ~rng)
-    | Engine.Exec.Count, None ->
-        Engine.Exec.of_count_sim
-          (Engine.Count_sim.make ?classes ~protocol:k.compiled ~init:icodes ~rng ())
-    | Engine.Exec.Count, Some _ ->
-        invalid_arg "Kernel.exec: the count engine has no scheduler hook"
+let exec (type s) ?topology ~kind (k : s t) ~(init : s array) ~rng : s Engine.Exec.t =
+  let inner =
+    Engine.Exec.make ?topology ~kind ~protocol:k.compiled ~init:(Array.map (encode k) init) ~rng ()
   in
   let module Inner = (val inner) in
   (module struct

@@ -63,19 +63,15 @@ val stats : 'a t -> (string * float) list
     [kernel.dynamic_steps], [kernel.exact] (1/0). *)
 
 val exec :
-  ?sampler:(Prng.t -> int * int) ->
-  ?classes:Engine.Topology.classes ->
+  ?topology:Engine.Topology.t ->
   kind:Engine.Exec.kind ->
   'a t ->
   init:'a array ->
   rng:Prng.t ->
   'a Engine.Exec.t
 (** Run the kernel on either engine behind the standard executor surface:
-    the inner engine works on int codes, the wrapper encodes/decodes at
-    the boundary ([state], [snapshot], [inject], [corrupt]) so callers
+    the inner engine, built by {!Engine.Exec.make} (so [topology] means
+    what it means there), works on int codes; the wrapper encodes/decodes
+    at the boundary ([state], [snapshot], [inject], [corrupt]) so callers
     see source states, and [stats] appends {!stats} to the engine's own.
-    [sampler] customizes the agent scheduler ([Invalid_argument] with the
-    count engine, which has no scheduler hook); [classes] is the count
-    engine's degree-class lumping (see {!Engine.Count_sim.make}; ignored
-    by the agent engine). Raises {!Repr.Escape} if [init] contains
-    undeclared states. *)
+    Raises {!Repr.Escape} if [init] contains undeclared states. *)

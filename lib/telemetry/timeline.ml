@@ -3,8 +3,10 @@ type burst = {
   agents : int;
   first_at : float;
   last_at : float;
+  last_interactions : int;
   broke : bool;
   recovered_at : float option;
+  recovered_interactions : int option;
 }
 
 type summary = {
@@ -22,7 +24,6 @@ type summary = {
 }
 
 type acc = {
-  a_run : Events.run;
   mutable a_events : int;
   mutable a_steps : int;
   mutable a_first_correct : float option;
@@ -37,24 +38,46 @@ type acc = {
   mutable a_open : burst option;  (* burst awaiting its Correct_entered *)
 }
 
-let close_burst acc recovered_at =
+let acc () =
+  {
+    a_events = 0;
+    a_steps = 0;
+    a_first_correct = None;
+    a_last_correct = None;
+    a_violations = 0;
+    a_silent = None;
+    a_end_time = 0.0;
+    a_end_interactions = 0;
+    a_correct_since = None;
+    a_correct_acc = 0;
+    a_bursts = [];
+    a_open = None;
+  }
+
+let close_burst acc ~time ~interactions =
   match acc.a_open with
   | None -> ()
   | Some b ->
-      acc.a_bursts <- { b with recovered_at } :: acc.a_bursts;
+      acc.a_bursts <-
+        { b with recovered_at = Some time; recovered_interactions = Some interactions }
+        :: acc.a_bursts;
       acc.a_open <- None
+
+let close acc ~interactions ~time =
+  acc.a_end_time <- Float.max acc.a_end_time time;
+  acc.a_end_interactions <- max acc.a_end_interactions interactions
 
 let feed acc (event : Engine.Instrument.event) =
   acc.a_events <- acc.a_events + 1;
-  acc.a_end_time <- Float.max acc.a_end_time (Engine.Instrument.time event);
-  acc.a_end_interactions <- max acc.a_end_interactions (Engine.Instrument.interactions event);
+  close acc ~interactions:(Engine.Instrument.interactions event)
+    ~time:(Engine.Instrument.time event);
   match event with
   | Engine.Instrument.Step _ -> acc.a_steps <- acc.a_steps + 1
   | Engine.Instrument.Correct_entered { time; interactions; _ } ->
       if acc.a_first_correct = None then acc.a_first_correct <- Some time;
       acc.a_last_correct <- Some time;
       if acc.a_correct_since = None then acc.a_correct_since <- Some interactions;
-      close_burst acc (Some time)
+      close_burst acc ~time ~interactions
   | Engine.Instrument.Correct_lost { interactions; _ } ->
       acc.a_violations <- acc.a_violations + 1;
       (match acc.a_correct_since with
@@ -64,11 +87,18 @@ let feed acc (event : Engine.Instrument.event) =
       | None -> ());
       (match acc.a_open with Some b -> acc.a_open <- Some { b with broke = true } | None -> ())
   | Engine.Instrument.Silence { time; _ } -> acc.a_silent <- Some time
-  | Engine.Instrument.Fault { agents; time; _ } -> (
+  | Engine.Instrument.Fault { agents; time; interactions } -> (
       match acc.a_open with
       | Some b ->
           acc.a_open <-
-            Some { b with faults = b.faults + 1; agents = b.agents + agents; last_at = time }
+            Some
+              {
+                b with
+                faults = b.faults + 1;
+                agents = b.agents + agents;
+                last_at = time;
+                last_interactions = interactions;
+              }
       | None ->
           acc.a_open <-
             Some
@@ -77,16 +107,27 @@ let feed acc (event : Engine.Instrument.event) =
                 agents;
                 first_at = time;
                 last_at = time;
+                last_interactions = interactions;
                 broke = false;
                 recovered_at = None;
+                recovered_interactions = None;
               })
 
 (* Non-destructive: an open burst already carries [recovered_at = None],
-   so appending it unchanged is exactly [close_burst acc None] without
-   losing the ability to keep feeding (live snapshots). *)
-let summary_of_acc acc =
+   so appending it unchanged closes it as censored without losing the
+   ability to keep feeding (live snapshots). *)
+let bursts acc =
+  List.rev (match acc.a_open with Some b -> b :: acc.a_bursts | None -> acc.a_bursts)
+
+let violations acc = acc.a_violations
+
+let correct_interactions acc =
+  acc.a_correct_acc
+  + match acc.a_correct_since with Some since -> acc.a_end_interactions - since | None -> 0
+
+let summary ~run acc =
   {
-    run = acc.a_run;
+    run;
     events = acc.a_events;
     steps = acc.a_steps;
     first_correct_at = acc.a_first_correct;
@@ -95,17 +136,12 @@ let summary_of_acc acc =
     silent_at = acc.a_silent;
     end_time = acc.a_end_time;
     end_interactions = acc.a_end_interactions;
-    correct_interactions =
-      (acc.a_correct_acc
-      + match acc.a_correct_since with
-        | Some since -> acc.a_end_interactions - since
-        | None -> 0);
-    bursts =
-      List.rev (match acc.a_open with Some b -> b :: acc.a_bursts | None -> acc.a_bursts);
+    correct_interactions = correct_interactions acc;
+    bursts = bursts acc;
   }
 
 type state = {
-  table : (string, acc) Hashtbl.t;
+  table : (string, Events.run * acc) Hashtbl.t;
   mutable order : string list;  (* run ids, reversed first-appearance order *)
 }
 
@@ -114,33 +150,21 @@ let state () = { table = Hashtbl.create 16; order = [] }
 let push st ((run : Events.run), event) =
   let acc =
     match Hashtbl.find_opt st.table run.Events.id with
-    | Some acc -> acc
+    | Some (_, acc) -> acc
     | None ->
-        let acc =
-          {
-            a_run = run;
-            a_events = 0;
-            a_steps = 0;
-            a_first_correct = None;
-            a_last_correct = None;
-            a_violations = 0;
-            a_silent = None;
-            a_end_time = 0.0;
-            a_end_interactions = 0;
-            a_correct_since = None;
-            a_correct_acc = 0;
-            a_bursts = [];
-            a_open = None;
-          }
-        in
-        Hashtbl.add st.table run.Events.id acc;
+        let acc = acc () in
+        Hashtbl.add st.table run.Events.id (run, acc);
         st.order <- run.Events.id :: st.order;
         acc
   in
   feed acc event
 
 let snapshot st =
-  List.rev_map (fun id -> summary_of_acc (Hashtbl.find st.table id)) st.order
+  List.rev_map
+    (fun id ->
+      let run, acc = Hashtbl.find st.table id in
+      summary ~run acc)
+    st.order
 
 let fold events =
   let st = state () in
@@ -188,6 +212,9 @@ let load ic =
 
 let recovery_time b =
   match b.recovered_at with Some t -> Some (t -. b.last_at) | None -> None
+
+let recovery_interactions b =
+  match b.recovered_interactions with Some i -> Some (i - b.last_interactions) | None -> None
 
 type sla = {
   sla_budget : float;

@@ -19,10 +19,12 @@ type burst = {
   agents : int;  (** total agents overwritten *)
   first_at : float;  (** parallel time of the first fault *)
   last_at : float;  (** …and of the last *)
+  last_interactions : int;  (** interaction clock of the last fault *)
   broke : bool;  (** a [Correct_lost] followed before recovery *)
   recovered_at : float option;
       (** time of the next [Correct_entered]; [None] if the stream ends
           first (only a failure if [broke]) *)
+  recovered_interactions : int option;  (** …and its interaction clock *)
 }
 
 type summary = {
@@ -45,6 +47,36 @@ type summary = {
 val fold : (Events.run * Engine.Instrument.event) list -> summary list
 (** Groups by run id (summaries in first-appearance order; events of
     different runs may interleave freely). *)
+
+(** {2 One run's accumulator}
+
+    The fold of a single run's stream, fed one event at a time. A driver
+    that produces the landmarks itself ([Chaos.Soak]) feeds them here
+    directly, without subscribing to the per-interaction stream, and
+    reads its burst, recovery and SLA accounting back — so a soak report
+    and the timeline of its events file are one computation. *)
+
+type acc
+
+val acc : unit -> acc
+val feed : acc -> Engine.Instrument.event -> unit
+
+val close : acc -> interactions:int -> time:float -> unit
+(** Moves the end of the stream to [interactions] (and [time]) if it is
+    not already past them: a driver that knows where its run ends closes
+    the accumulator there, so an open correct stretch is measured to the
+    true end rather than to the last event. *)
+
+val bursts : acc -> burst list
+(** Chronological; a burst still awaiting its [Correct_entered] comes
+    last, with [recovered_at = None]. *)
+
+val violations : acc -> int
+
+val correct_interactions : acc -> int
+(** Interactions spent correct up to the end of the stream. *)
+
+val summary : run:Events.run -> acc -> summary
 
 (** {2 Incremental folding}
 
@@ -78,14 +110,18 @@ val recovery_time : burst -> float option
 (** [recovered_at - last_at], the time-to-correct the recovery tables
     report. *)
 
+val recovery_interactions : burst -> int option
+(** The same span on the interaction clock, exactly. *)
+
 (** {2 Recovery SLAs}
 
     A recovery budget in parallel time units, checked against every burst
     that broke correctness: a recovery slower than the budget is a miss,
     and a broken burst the stream never recovers from (censored) also
     counts against the SLA. Soak runs ([Chaos.Soak], [ssr_sim --chaos])
-    apply the same rule on the interaction clock while the run executes;
-    this is the offline equivalent over an events file. *)
+    apply the same rule to the same bursts on the interaction clock
+    ({!recovery_interactions}); this is the offline equivalent over an
+    events file, in parallel time. *)
 
 type sla = {
   sla_budget : float;  (** parallel time units *)

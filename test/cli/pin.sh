@@ -33,7 +33,7 @@ plain() {
 # status ARGS...: the exit code alone (usage errors; their wording is free).
 status() {
   "$exe" "$@" > /dev/null 2>&1
-  echo "== ssr_sim $* -> exit $?"
+  echo "== ${REPRO_JOBS:+REPRO_JOBS=$REPRO_JOBS }ssr_sim $* -> exit $?"
 }
 
 case $mode in
@@ -74,6 +74,10 @@ ssr_sim)
   status -p optimal -n 8 --chaos nope
   status -p optimal -n 8 --sla 3
   status -p loose -n 8 --trials 2
+  # a malformed REPRO_JOBS is a usage error for a batch; a single run has
+  # no pool and never reads it
+  REPRO_JOBS=zero status -p optimal -n 8 --trials 2
+  REPRO_JOBS=zero status -p optimal -n 8
   ;;
 fleet)
   cat > "$tmp/jobs.jsonl" <<'JOBS'

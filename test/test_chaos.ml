@@ -327,32 +327,26 @@ let qcheck_soak_agrees_with_timeline =
       match summaries with
       | [ s ] ->
           let bursts = s.Telemetry.Timeline.bursts in
+          let broke (b : Telemetry.Timeline.burst) = b.broke in
           let count p = List.length (List.filter p bursts) in
-          let unbroken (b : Telemetry.Timeline.burst) = not b.broke in
           let recovered =
             List.filter_map
-              (fun (b : Telemetry.Timeline.burst) ->
-                if b.broke then Telemetry.Timeline.recovery_time b else None)
+              (fun b -> if broke b then Telemetry.Timeline.recovery_interactions b else None)
               bursts
           in
+          let budget = r.Chaos.Soak.sla.Chaos.Soak.budget in
+          let misses = List.length (List.filter (fun dt -> dt > budget) recovered) in
+          let censored = count (fun b -> broke b && b.Telemetry.Timeline.recovered_at = None) in
           let nf = float_of_int c.c_n in
-          let sla =
-            Telemetry.Timeline.check_sla
-              ~budget:(float_of_int r.Chaos.Soak.sla.Chaos.Soak.budget /. nf)
-              s
-          in
           r.Chaos.Soak.bursts = List.length bursts
-          && r.Chaos.Soak.absorbed = count unbroken
+          && r.Chaos.Soak.absorbed = count (fun b -> not (broke b))
           && r.Chaos.Soak.recoveries = List.length recovered
-          && r.Chaos.Soak.sla.Chaos.Soak.censored = sla.Telemetry.Timeline.sla_censored
-          && r.Chaos.Soak.sla.Chaos.Soak.misses = sla.Telemetry.Timeline.sla_misses
-          && r.Chaos.Soak.sla.Chaos.Soak.met = sla.Telemetry.Timeline.sla_met
+          && r.Chaos.Soak.sla.Chaos.Soak.censored = censored
+          && r.Chaos.Soak.sla.Chaos.Soak.misses = misses
+          && r.Chaos.Soak.sla.Chaos.Soak.met = (misses = 0 && censored = 0)
           && r.Chaos.Soak.violations = s.Telemetry.Timeline.violations
-          && List.length recovered = Array.length r.Chaos.Soak.recovery_times
-          && List.for_all2
-               (fun a b -> Float.abs (a -. b) <= 1e-9)
-               recovered
-               (Array.to_list r.Chaos.Soak.recovery_times)
+          && r.Chaos.Soak.recovery_times
+             = Array.of_list (List.map (fun dt -> float_of_int dt /. nf) recovered)
       | _ -> false)
 
 let suite =

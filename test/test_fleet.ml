@@ -92,6 +92,13 @@ let test_job_validation () =
   rejects "count engine on randomized protocol"
     {|{"id":"a","protocol":"sublinear","n":8,"engine":"count"}|};
   rejects "bad chaos spec" {|{"id":"a","n":8,"chaos":"nope"}|};
+  rejects "unknown scenario" {|{"id":"a","n":8,"scenario":"bogus"}|};
+  rejects "scenario of another protocol" {|{"id":"a","protocol":"silent","n":8,"scenario":"starved"}|};
+  rejects "compiled kernel on randomized protocol"
+    {|{"id":"a","protocol":"sublinear","n":8,"kernel":"compiled"}|};
+  (match Fleet.Job.of_line {|{"id":"a","n":8,"scenario":"bogus"}|} with
+  | Error msg -> check_bool "unknown scenario lists the catalogue" true (contains ~sub:"mid-reset" msg)
+  | Ok _ -> ());
   rejects "horizon without chaos" {|{"id":"a","n":8,"horizon":10.0}|};
   rejects "not json" {|{"id":|}
 

@@ -52,6 +52,39 @@ let test_shutdown_semantics () =
 let test_default_jobs_env () =
   check_bool "default jobs positive" true (Engine.Pool.default_jobs () >= 1)
 
+(* Resolution never raises: a bad flag or a malformed REPRO_JOBS is a
+   usage message. The variable is restored afterwards (to the recommended
+   count when it was unset: Unix has no unsetenv, and the two resolve
+   alike). *)
+let test_resolve_jobs_total () =
+  let saved = Sys.getenv_opt "REPRO_JOBS" in
+  let resolve env =
+    Unix.putenv "REPRO_JOBS" env;
+    Engine.Pool.resolve_jobs None
+  in
+  let rejects what = function
+    | Ok j -> Alcotest.failf "%s: resolved to %d" what j
+    | Error msg ->
+        check_bool (what ^ ": the message names REPRO_JOBS") true
+          (String.starts_with ~prefix:"REPRO_JOBS=" msg)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "REPRO_JOBS"
+        (match saved with
+        | Some v -> v
+        | None -> string_of_int (Domain.recommended_domain_count ())))
+    (fun () ->
+      check_bool "flag wins" true (Engine.Pool.resolve_jobs (Some 3) = Ok 3);
+      check_bool "flag below 1" true (Result.is_error (Engine.Pool.resolve_jobs (Some 0)));
+      check_bool "env value" true (resolve " 4 " = Ok 4);
+      rejects "word" (resolve "zero");
+      rejects "zero" (resolve "0");
+      rejects "empty" (resolve "");
+      check_bool "flag ignores a bad env" true
+        (Unix.putenv "REPRO_JOBS" "zero";
+         Engine.Pool.resolve_jobs (Some 2) = Ok 2))
+
 (* run_trials must give bit-identical results for every jobs value: the
    per-trial PRNG children are split before dispatch. *)
 let qcheck_run_trials_jobs_invariant =
@@ -93,6 +126,7 @@ let suite =
     Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
     Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
     Alcotest.test_case "default jobs" `Quick test_default_jobs_env;
+    Alcotest.test_case "resolve jobs is total" `Quick test_resolve_jobs_total;
     QCheck_alcotest.to_alcotest qcheck_run_trials_jobs_invariant;
     QCheck_alcotest.to_alcotest qcheck_measure_jobs_invariant;
   ]
