@@ -43,7 +43,7 @@ let warn_annealed (Run.Plan p) =
         (Engine.Topology.name t)
   | _ -> ()
 
-let pp_header ?trials ~(job : Fleet.Job.t) (Run.Plan p) =
+let pp_header ?domains ~(job : Fleet.Job.t) (Run.Plan p) =
   Printf.printf "protocol            : %s\n" p.protocol.Engine.Protocol.name;
   Printf.printf "engine              : %s\n" (Engine.Exec.kind_to_string p.kind);
   Option.iter
@@ -59,7 +59,7 @@ let pp_header ?trials ~(job : Fleet.Job.t) (Run.Plan p) =
     (fun jobs ->
       Printf.printf "trials              : %d (on %d domain%s)\n" job.Fleet.Job.trials jobs
         (if jobs = 1 then "" else "s"))
-    trials
+    domains
 
 let pp_stable (Run.Plan p) exec (o : Engine.Runner.outcome) =
   let n = p.protocol.Engine.Protocol.n in
@@ -192,8 +192,8 @@ let run_batch ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics plan =
       Format.printf "%a" Fleet.Supervise.pp_failures errors
     end
   in
-  pp_header ~trials:jobs ~job plan;
-  let outcomes = List.map (fun (r : Run.result) -> r.outcome) ok in
+  pp_header ~domains:jobs ~job plan;
+  let outcomes = List.map (fun (r : Run.completed) -> r.outcome) ok in
   let reports = List.filter_map (function Run.Soaked r -> Some r | Run.Stable _ -> None) outcomes in
   let values, code =
     match p.mode with
@@ -236,7 +236,7 @@ let run_batch ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics plan =
     ?report:(match reports with r :: _ -> Some r | [] -> None)
     plan
     ~pool:b.pool
-    ~walls:(List.map (fun (r : Run.result) -> r.wall_s) ok)
+    ~walls:(List.map (fun (r : Run.completed) -> r.wall_s) ok)
     values;
   code
 

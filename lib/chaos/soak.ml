@@ -116,10 +116,10 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
       match next_arrival () with Some a when a < horizon_abs -> a | Some _ | None -> horizon_abs
     in
     let (_ : bool) = Engine.Exec.advance exec ~until in
-    (* The state during (before, clock) is the state observed before the
-       advance — on the count engine the skipped null interactions change
-       nothing, and the productive event lands exactly at [clock] — so the
-       correct share integrated between landmarks is exact on both
+    (* Correctness only changes at an observed step — on the count
+       engine the skipped null interactions change nothing, and the
+       productive event lands exactly at [clock] — so the correct share
+       the timeline integrates between landmarks is exact on both
        engines. *)
     clock := Engine.Exec.interactions exec;
     enforce_pins ();

@@ -11,17 +11,20 @@
     interaction clock spent correct, plus per-burst recovery statistics
     and a verdict against a recovery SLA.
 
-    {b Bursts} follow the exact semantics of [Telemetry.Timeline]: a
-    maximal group of faults with no intervening re-entry into correctness
-    is one burst; a burst {e breaks} if correctness is lost before the
-    next re-entry, {e recovers} at that re-entry (recovery time measured
-    from the burst's last fault), is {e absorbed} if correctness never
-    broke, and is {e censored} if the horizon ends first. Folding the
-    run's events file with [bin/timeline] therefore reconstructs the same
-    story — the soak runner publishes every action on the executor's
-    [Instrument] stream ([Fault] from the injection surface,
-    [Correct_entered] / [Correct_lost] from its own observation loop),
-    so the telemetry pipeline sees soak runs for free.
+    {b Bursts} are [Telemetry.Timeline]'s: the soak keeps no burst,
+    recovery or SLA state of its own, but feeds a [Timeline.acc] the
+    landmarks it observes — its own [Correct_entered] / [Correct_lost]
+    and each strike — closes it at the horizon and reads the report off
+    it. A maximal group of faults with no intervening re-entry into
+    correctness is one burst; a burst {e breaks} if correctness is lost
+    before the next re-entry, {e recovers} at that re-entry (recovery
+    time measured from the burst's last fault, on the interaction clock),
+    is {e absorbed} if correctness never broke, and is {e censored} if
+    the horizon ends first. The soak also publishes every action on the
+    executor's [Instrument] stream ([Fault] from the injection surface,
+    the correctness landmarks from its own observation loop), so folding
+    the run's events file with [bin/timeline] tells the same story, and
+    the telemetry pipeline sees soak runs for free.
 
     {b Determinism.} The soak draws randomness only from [Prng.split]
     children of [rng] (one for the schedule, one for the adversary), taken
@@ -50,7 +53,7 @@ type report = {
   firings : int;  (** schedule arrivals applied *)
   faults_applied : int;  (** agent states overwritten, re-pins included *)
   repins : int;  (** stuck-agent re-injections *)
-  bursts : int;  (** fault bursts (Timeline semantics) *)
+  bursts : int;  (** fault bursts ([Telemetry.Timeline] bursts) *)
   absorbed : int;  (** bursts that never broke correctness *)
   recoveries : int;  (** broken bursts that re-entered correctness *)
   recovery_times : float array;

@@ -31,9 +31,9 @@ let id_ok id =
          || c = '_' || c = '-' || c = '.')
        id
 
-(* All structural validation lives here, at admission time, so a worker
-   never has to [exit 2] mid-fleet the way the single-run CLI does. The
-   protocol, scenario, engine and kernel are checked against [Run]'s
+(* All validation lives here, at admission time (ssr_sim's command line
+   goes through it too), so a worker never meets a spec it cannot run:
+   the protocol, scenario, engine and kernel are checked against [Run]'s
    catalogue, the table the worker runs from. *)
 let validate t =
   let fail fmt = Printf.ksprintf (fun msg -> Error (Printf.sprintf "job %s: %s" t.id msg)) fmt in

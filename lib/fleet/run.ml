@@ -179,10 +179,10 @@ let trial ?hook ?sink ?trial ~seed ~scenario_rng ~rng (Plan p) =
   Telemetry.Metrics.record_exec exec;
   Finished { exec; outcome }
 
-type result = { outcome : outcome; wall_s : float }
+type completed = { outcome : outcome; wall_s : float }
 
 type batch = {
-  results : (result, Supervise.failure) Stdlib.result array;
+  results : (completed, Supervise.failure) result array;
   pool : Engine.Pool.domain_stats array;
   buffers : Telemetry.Sink.t array;
 }

@@ -25,23 +25,12 @@
 
 (** {2 Catalogue} *)
 
-type instance =
-  | Instance : {
-      protocol : 's Engine.Protocol.t;
-      enumerable : ('s Engine.Enumerable.t Lazy.t, string) result;
-          (** the IR compiler's input, or why there is no compiled kernel *)
-      scenarios : (string * (Prng.t -> 's array)) list;
-      random_state : Prng.t -> 's;  (** one adversarial agent state (chaos) *)
-      horizon_scale : float;  (** expected stabilization time, in units of n *)
-    }
-      -> instance
-
 val protocols : string list
-(** [silent; optimal; sublinear]. *)
-
-val instance : protocol:string -> n:int -> h:int -> (instance, string) result
-(** The catalogue entry at population [n] (>= 2) and sublinear history
-    depth [h] (>= 0); [Error] names the known protocols. *)
+(** The catalogue's protocol names: [silent; optimal; sublinear]. Each
+    entry holds the protocol at a population [n] (>= 2) and sublinear
+    history depth [h] (>= 0), its scenarios, its per-agent fault draw,
+    its IR descriptor (or why it has no compiled kernel) and its
+    horizon scale. *)
 
 val check :
   protocol:string ->
@@ -128,10 +117,10 @@ val trial :
 
 (** {2 Batches} *)
 
-type result = { outcome : outcome; wall_s : float }
+type completed = { outcome : outcome; wall_s : float }
 
 type batch = {
-  results : (result, Supervise.failure) Stdlib.result array;  (** trial order *)
+  results : (completed, Supervise.failure) result array;  (** trial order *)
   pool : Engine.Pool.domain_stats array;  (** empty without a pool *)
   buffers : Telemetry.Sink.t array;  (** per-trial events; empty unless [events] *)
 }

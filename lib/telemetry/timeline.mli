@@ -76,8 +76,6 @@ val violations : acc -> int
 val correct_interactions : acc -> int
 (** Interactions spent correct up to the end of the stream. *)
 
-val summary : run:Events.run -> acc -> summary
-
 (** {2 Incremental folding}
 
     The live dashboard ([timeline --serve]) feeds events as they are
