@@ -82,29 +82,28 @@ let pp_stable (Run.Plan p) exec (o : Engine.Runner.outcome) =
         else Printf.printf "final config silent : unknown (population too large to scan)\n"
 
 (* The events manifest and the metrics dump, once the report is out. *)
-let write_outputs ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics ~t0 ?report
-    ?(pool = [||]) (Run.Plan p) ~walls values =
+let write_outputs ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics ~t0 ?(pool = [||])
+    (Run.Plan p) ~walls values =
   let wall_clock_s = Unix.gettimeofday () -. t0 in
   Option.iter
     (fun path ->
-      let common =
+      let params =
         [
           ("scenario", Telemetry.Json.String job.scenario);
           ("topology", Telemetry.Json.String topology);
           ("kernel", Telemetry.Json.String (if p.kernel = None then "interp" else "compiled"));
         ]
-      in
-      let params =
-        match (job.chaos, report) with
-        | None, _ -> common @ [ ("horizon_scale", Telemetry.Json.Float p.horizon_scale) ]
-        | Some spec, Some (r : Chaos.Soak.report) ->
-            common
-            @ [
-                ("chaos", Telemetry.Json.String spec);
-                ("horizon_interactions", Telemetry.Json.Int r.horizon);
-                ("sla_budget_interactions", Telemetry.Json.Int r.sla.budget);
-              ]
-        | Some _, None -> []
+        @
+        match (job.chaos, p.mode) with
+        | Some spec, Run.Soak { horizon; sla_budget; _ } ->
+            [
+              ("chaos", Telemetry.Json.String spec);
+              ("horizon_interactions", Telemetry.Json.Int horizon);
+              ( "sla_budget_interactions",
+                Telemetry.Json.Int
+                  (Option.value sla_budget ~default:(Chaos.Soak.default_budget ~n:job.n)) );
+            ]
+        | _ -> [ ("horizon_scale", Telemetry.Json.Float p.horizon_scale) ]
       in
       Telemetry.Manifest.write ~path:(path ^ ".manifest.json")
         (Telemetry.Manifest.make ~run:"ssr_sim" ~protocol:p.protocol.Engine.Protocol.name
@@ -151,8 +150,8 @@ let run_single ~(job : Fleet.Job.t) ~verbose ~topology ~events ~metrics plan =
   end;
   pp_header ~job plan;
   Option.iter Telemetry.Sink.close sink;
-  let write ?report values =
-    write_outputs ~job ~topology ~jobs:1 ~events ~metrics ~t0 ?report plan
+  let write values =
+    write_outputs ~job ~topology ~jobs:1 ~events ~metrics ~t0 plan
       ~walls:[ Unix.gettimeofday () -. t0 ]
       values
   in
@@ -167,7 +166,7 @@ let run_single ~(job : Fleet.Job.t) ~verbose ~topology ~events ~metrics plan =
       if o.converged then 0 else 1
   | Run.Soaked r ->
       Chaos.Soak.print_report stdout ~n r;
-      write ~report:r [ ("availability", r.availability) ];
+      write [ ("availability", r.availability) ];
       (* Chaos mode reports; the SLA verdict is data, not an exit code. *)
       0
 
@@ -232,10 +231,7 @@ let run_batch ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics plan =
           if errors = [] then 0 else 1 )
   in
   Option.iter (Run.write_events b) events;
-  write_outputs ~job ~topology ~jobs ~events ~metrics ~t0
-    ?report:(match reports with r :: _ -> Some r | [] -> None)
-    plan
-    ~pool:b.pool
+  write_outputs ~job ~topology ~jobs ~events ~metrics ~t0 ~pool:b.pool plan
     ~walls:(List.map (fun (r : Run.completed) -> r.wall_s) ok)
     values;
   code
