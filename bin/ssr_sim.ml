@@ -64,7 +64,14 @@ let pp_header ?domains ~(job : Fleet.Job.t) (Run.Plan p) =
 let pp_stable (Run.Plan p) exec (o : Engine.Runner.outcome) =
   let n = p.protocol.Engine.Protocol.n in
   Printf.printf "converged           : %b\n" o.converged;
-  Printf.printf "stabilization time  : %.2f (parallel time units)\n" o.convergence_time;
+  if o.converged then
+    Printf.printf "stabilization time  : %.2f (parallel time units)\n" o.convergence_time
+  else
+    (* an unconverged run stopped either silent in an incorrect
+       configuration or at its horizon; say which, and when *)
+    Printf.printf "stopped             : %s at %.2f (parallel time units)\n"
+      (if Engine.Exec.silent exec = Some true then "silent-incorrect" else "horizon")
+      (float_of_int o.total_interactions /. float_of_int n);
   Printf.printf "interactions        : %d\n" o.total_interactions;
   if p.kind = Engine.Exec.Count then
     Printf.printf "productive events   : %d\n" (Engine.Exec.events exec);

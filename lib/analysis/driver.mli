@@ -2,7 +2,7 @@
 
     Stage order: [state-count] (declared closed form vs. enumeration vs.
     the matching Table 1 row), [closure] and [invariant-lint] (one scan,
-    {!Closure}), [silence] ({!Silence_scan}), [model-check]
+    {!Relation}), [silence] ({!Silence_scan}), [model-check]
     ({!Model_check}). An exception inside a stage becomes that stage's
     failure — an analyzer crash must never read as a pass — and a
     descriptor that violates the {!Statespace} contract fails fast with a

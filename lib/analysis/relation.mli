@@ -1,7 +1,7 @@
 (** Shared pair-outcome relation over a declared state space.
 
-    Both the closure/invariant-lint scan ({!Closure}) and the exhaustive
-    model checker ({!Model_check}) quantify over the same object: the
+    Both the closure/invariant-lint stages ({!closure_stage},
+    {!lint_stage}) and the exhaustive model checker ({!Model_check}) quantify over the same object: the
     outcomes of the transition applied to {e every} ordered pair of
     declared states, with every synthetic-coin outcome enumerated exactly
     ({!Coins}). Historically each stage ran its own enumeration; [Relation]

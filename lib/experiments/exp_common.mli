@@ -7,8 +7,8 @@
     checking) and the sweep helpers. *)
 
 type mode = Quick | Full
-(** [Quick] keeps every experiment under roughly a minute (used by the
-    default bench run); [Full] uses larger populations and more trials
+(** [Quick] keeps every experiment under roughly a minute (the
+    default [experiments_main] run); [Full] uses larger populations and more trials
     (used to regenerate EXPERIMENTS.md). *)
 
 type measurement = {

@@ -53,16 +53,11 @@ let all =
       run = Exp_epidemic.run;
     };
     { name = Exp_chaos.name; description = Exp_chaos.description; run = Exp_chaos.run };
+    {
+      name = Exp_engines.name;
+      description = Exp_engines.description;
+      run = Exp_engines.run;
+    };
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) all
-
-let run_all ~mode ~seed ~jobs =
-  String.concat "\n"
-    (List.map
-       (fun e ->
-         let t0 = Sys.time () in
-         let body = e.run ~mode ~seed ~jobs in
-         Printf.sprintf "%s\n(experiment '%s' took %.1f s of CPU time)\n" body e.name
-           (Sys.time () -. t0))
-       all)

@@ -1,4 +1,4 @@
-(** Registry of all experiments and the EXPERIMENTS.md generator. *)
+(** Registry of all experiments; [experiments_main] runs them. *)
 
 type experiment = {
   name : string;
@@ -13,6 +13,3 @@ val all : experiment list
 (** Every experiment, in the order of DESIGN.md's experiment index. *)
 
 val find : string -> experiment option
-
-val run_all : mode:Exp_common.mode -> seed:int -> jobs:int -> string
-(** Concatenated reports of every experiment. *)

@@ -2,8 +2,8 @@
 
     A registry is a named bag of numbers filled in while a workload runs
     and dumped once at the end as a JSON summary ([--metrics FILE],
-    [experiments_main --out-dir], the bench metrics section). It is {e not}
-    on any engine hot path: the engines keep their own plain mutable
+    [experiments_main --out-dir], perfbench's fleet-soak workload). It is
+    {e not} on any engine hot path: the engines keep their own plain mutable
     counters (see [Engine.Exec.stats]) and the registry is only touched at
     trial/run granularity, where a mutex acquisition is noise. All
     operations are therefore thread-safe — pool domains may observe into

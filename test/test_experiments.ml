@@ -18,7 +18,8 @@ let test_registry_covers_design () =
       check_bool (required ^ " registered") true (Experiments.Report.find required <> None))
     [
       "table1"; "tradeoff"; "figures"; "silent_lb"; "quadratic_lb"; "nonuniform"; "reset";
-      "scale"; "exact"; "ablation"; "loose"; "topology"; "scenarios"; "epidemic";
+      "scale"; "exact"; "ablation"; "loose"; "topology"; "scenarios"; "epidemic"; "chaos";
+      "engines";
     ]
 
 let test_trials_of_mode () =
