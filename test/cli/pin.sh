@@ -4,8 +4,13 @@
 # time), its exit code, and a digest of the events file it wrote. The
 # events files themselves are not committed: ring runs write ~6 MB.
 #
-#   pin.sh ssr_sim PATH/ssr_sim.exe   > ssr_sim.out
-#   pin.sh fleet   PATH/fleet.exe     > fleet.out
+# The experiments modes pin the quick-mode reports instead, minus the
+# per-experiment wall-clock lines.
+#
+#   pin.sh ssr_sim          PATH/ssr_sim.exe          > ssr_sim.out
+#   pin.sh fleet            PATH/fleet.exe            > fleet.out
+#   pin.sh experiments      PATH/experiments_main.exe > experiments.out
+#   pin.sh experiments-slow PATH/experiments_main.exe > experiments_slow.out
 set -u
 mode=$1
 exe=$2
@@ -36,6 +41,23 @@ status() {
   echo "== ${REPRO_JOBS:+REPRO_JOBS=$REPRO_JOBS }ssr_sim $* -> exit $?"
 }
 
+# walls ARGS...: how many trial wall times a --metrics run recorded.
+walls() {
+  "$exe" "$@" --metrics "$tmp/m.json" > /dev/null 2>&1
+  echo "== ssr_sim $* --metrics -> trial_wall_s count" \
+    "$(grep -o '"trial_wall_s":{"count":[0-9]*' "$tmp/m.json" | cut -d: -f3)"
+  rm -f "$tmp/m.json"
+}
+
+# report NAME...: the named experiments' quick-mode reports at seed 2024
+# on two domains, minus the wall-clock lines; then the exit code.
+report() {
+  local args=()
+  for name in "$@"; do args+=(-e "$name"); done
+  "$exe" "${args[@]}" --seed 2024 --jobs 2 2> "$tmp/err" | grep -v '^(experiment .* wall clock)$'
+  echo "exit ${PIPESTATUS[0]}"
+}
+
 case $mode in
 ssr_sim)
   # single runs: agent engine under both kernels, count engine
@@ -63,6 +85,9 @@ ssr_sim)
   # verbose timeline, randomized protocol; loose election
   ssr -p sublinear -n 16 -H 4 -s name-collision -v
   plain -p loose -n 32
+  # the trial wall-time histogram: one entry per trial
+  walls -p optimal -n 16 --trials 4 --seed 9 --jobs 2
+  walls -p optimal -n 16 --seed 9
   # usage errors
   status -p optimal -n 8 --jobs 0
   status -p optimal -n 8 --trials 0
@@ -89,5 +114,14 @@ JOBS
   "$exe" "$tmp/jobs.jsonl" --out-dir "$tmp/out" --workers 1 2> "$tmp/err" | grep -v '^fleet: journal'
   echo "exit ${PIPESTATUS[0]}"
   for id in agent count soak; do echo "$id events $(digest "$tmp/out/$id.events.jsonl")"; done
+  ;;
+experiments)
+  # every experiment but table1 and chaos (slow, see below) and engines
+  # (its table cells are wall-clock readings)
+  report tradeoff figures silent_lb quadratic_lb nonuniform reset scale exact ablation loose \
+    topology scenarios epidemic
+  ;;
+experiments-slow)
+  report table1 chaos
   ;;
 esac
