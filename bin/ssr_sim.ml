@@ -89,8 +89,7 @@ let pp_stable (Run.Plan p) exec (o : Engine.Runner.outcome) =
         else Printf.printf "final config silent : unknown (population too large to scan)\n"
 
 (* The events manifest and the metrics dump, once the report is out. *)
-let write_outputs ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics ~t0 ?(pool = [||])
-    (Run.Plan p) ~walls values =
+let write_outputs ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics ~t0 (Run.Plan p) values =
   let wall_clock_s = Unix.gettimeofday () -. t0 in
   Option.iter
     (fun path ->
@@ -119,12 +118,6 @@ let write_outputs ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics ~t0 ?(po
     events;
   Option.iter
     (fun (path, reg) ->
-      List.iter (Telemetry.Metrics.observe reg "trial_wall_s") walls;
-      Array.iteri
-        (fun slot { Engine.Pool.tasks; busy_s } ->
-          Telemetry.Metrics.set reg (Printf.sprintf "pool.domain%d.tasks" slot) (float_of_int tasks);
-          Telemetry.Metrics.set reg (Printf.sprintf "pool.domain%d.busy_s" slot) busy_s)
-        pool;
       List.iter (fun (name, v) -> Telemetry.Metrics.set reg name v) values;
       Telemetry.Metrics.write ~path reg)
     metrics
@@ -157,11 +150,12 @@ let run_single ~(job : Fleet.Job.t) ~verbose ~topology ~events ~metrics plan =
   end;
   pp_header ~job plan;
   Option.iter Telemetry.Sink.close sink;
-  let write values =
-    write_outputs ~job ~topology ~jobs:1 ~events ~metrics ~t0 plan
-      ~walls:[ Unix.gettimeofday () -. t0 ]
-      values
-  in
+  (* a batch's trials time themselves (Run.run_trials); a single run is
+     its own one trial *)
+  Option.iter
+    (fun (_, reg) -> Telemetry.Metrics.observe reg "trial_wall_s" (Unix.gettimeofday () -. t0))
+    metrics;
+  let write values = write_outputs ~job ~topology ~jobs:1 ~events ~metrics ~t0 plan values in
   match outcome with
   | Run.Stable o ->
       pp_stable plan exec o;
@@ -185,7 +179,7 @@ let run_batch ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics plan =
   let n = job.n and trials = job.trials in
   let t0 = Unix.gettimeofday () in
   let b = Run.batch ~jobs ~events:(events <> None) ~seed:job.seed ~trials plan in
-  let ok = List.filter_map Result.to_option (Array.to_list b.results) in
+  let outcomes = List.filter_map Result.to_option (Array.to_list b.results) in
   let errors =
     List.concat
       (List.mapi
@@ -199,7 +193,6 @@ let run_batch ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics plan =
     end
   in
   pp_header ~domains:jobs ~job plan;
-  let outcomes = List.map (fun (r : Run.completed) -> r.outcome) ok in
   let reports = List.filter_map (function Run.Soaked r -> Some r | Run.Stable _ -> None) outcomes in
   let values, code =
     match p.mode with
@@ -238,9 +231,7 @@ let run_batch ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics plan =
           if errors = [] then 0 else 1 )
   in
   Option.iter (Run.write_events b) events;
-  write_outputs ~job ~topology ~jobs ~events ~metrics ~t0 ~pool:b.pool plan
-    ~walls:(List.map (fun (r : Run.completed) -> r.wall_s) ok)
-    values;
+  write_outputs ~job ~topology ~jobs ~events ~metrics ~t0 plan values;
   code
 
 let run_loose ~n ~seed ~verbose =

@@ -20,7 +20,7 @@ let default_budget ~n = 4 * Engine.Runner.default_confirm ~n
 
 module Timeline = Telemetry.Timeline
 
-let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversary
+let run (type a) ?sla_budget ~schedule ~adversary
     ~(random_state : Prng.t -> a) ~rng ~horizon (exec : a Engine.Exec.t) =
   if horizon < 1 then invalid_arg "Chaos.Soak.run: horizon must be >= 1";
   let protocol = Engine.Exec.protocol exec in
@@ -53,7 +53,7 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
     Engine.Exec.emit exec ev
   in
   let observe () =
-    let now_correct = Engine.Runner.is_correct ~task exec in
+    let now_correct = Engine.Runner.is_correct ~task:Engine.Runner.Ranking exec in
     if now_correct <> !correct then begin
       correct := now_correct;
       landmark

@@ -30,7 +30,7 @@
     children of [rng] (one for the schedule, one for the adversary), taken
     before the run starts; given a fresh executor and seed the report and
     the event stream are bit-identical — on any [--jobs] value when each
-    trial's generator is pre-split, as [Exp_common.run_trials] does.
+    trial's generator is pre-split, as [Fleet.Run.run_trials] does.
 
     {b Metrics.} When an ambient [Telemetry.Metrics] registry is
     installed, every run folds its counters into it
@@ -69,7 +69,6 @@ val default_budget : n:int -> int
 
 val run :
   ?sla_budget:int ->
-  ?task:Engine.Runner.task ->
   schedule:Schedule.t ->
   adversary:Adversary.t ->
   random_state:(Prng.t -> 'a) ->
@@ -78,8 +77,8 @@ val run :
   'a Engine.Exec.t ->
   report
 (** [run ~schedule ~adversary ~random_state ~rng ~horizon exec] soaks
-    [exec] for [horizon] interactions (>= 1). [task] defaults to
-    [Ranking]; [sla_budget] (interactions, >= 1) defaults to
+    [exec] for [horizon] interactions (>= 1), judging correctness on the
+    [Ranking] task; [sla_budget] (interactions, >= 1) defaults to
     {!default_budget}. Schedule arrivals are interpreted relative to the
     executor's clock at call time. *)
 

@@ -13,7 +13,7 @@
     The pool schedules tasks in a nondeterministic interleaving, so any
     randomized task must receive its entire entropy supply {e before}
     dispatch. The convention used throughout this repository
-    (see [Experiments.Exp_common.run_trials]) is:
+    (see [Fleet.Run.run_trials]) is:
 
     + derive one root generator from the experiment seed;
     + pre-split one child [Prng.t] per trial index with [Prng.split_many]

@@ -23,7 +23,7 @@ let measure_optimal ~n ~params ~jobs ~trials ~seed =
   (* Each trial wraps its own counter around a fresh protocol record, so
      trials stay independent under parallel execution. *)
   let outcomes =
-    Exp_common.run_trials ~jobs ~trials ~seed (fun rng ->
+    Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
         let counter = ref 0 in
         let protocol =
           with_trigger_counter ~params (Core.Optimal_silent.protocol ~params ~n ()) counter
@@ -31,11 +31,7 @@ let measure_optimal ~n ~params ~jobs ~trials ~seed =
         let init = Core.Scenarios.optimal_uniform rng ~params ~n in
         let sim = Engine.Sim.make ~protocol ~init ~rng in
         let o =
-          Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking
-            ~max_interactions:
-              (Engine.Runner.default_horizon ~n ~expected_time:(float_of_int (40 * n)))
-            ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-            (Engine.Exec.of_sim sim)
+          Fleet.Run.stabilize ~expected_time:(float_of_int (40 * n)) (Engine.Exec.of_sim sim)
         in
         if o.Engine.Runner.converged then
           Some (o.Engine.Runner.convergence_time, float_of_int !counter)
@@ -76,7 +72,7 @@ let optimal_header = [ "value"; "trials"; "mean time"; "p95"; "trigger interacti
 let detection_latency ~n ~params ~jobs ~trials ~seed =
   let protocol = Core.Sublinear.protocol ~params ~n ~h:params.Core.Params.h () in
   let times =
-    Exp_common.run_trials ~jobs ~trials ~seed (fun rng ->
+    Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
         let init = Core.Scenarios.sublinear_name_collision rng ~params ~n in
         let sim = Engine.Sim.make ~protocol ~init ~rng in
         let detected () =

@@ -64,7 +64,7 @@ let sweep (type s) table ~tier ~engine ~(protocol : s Engine.Protocol.t)
     (fun load ->
       let rate = load /. t_rec in
       let reports =
-        Exp_common.run_trials ~jobs ~trials ~seed (fun rng ->
+        Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
             let exec = Engine.Exec.make ~kind:engine ~protocol ~init:(init rng) ~rng () in
             Chaos.Soak.run ~sla_budget
               ~schedule:(Chaos.Schedule.poisson ~rate)

@@ -11,31 +11,6 @@ type measurement = {
   silent_ok : int;
 }
 
-(* All Monte Carlo batches go through this runner. Trial [i] draws
-   exclusively from child generator [i], which is pre-split from the root
-   before anything is dispatched to the pool — see the seeding discipline
-   in [Engine.Pool]'s documentation — so the returned array depends only
-   on [seed] and [trials], never on [jobs]. When an ambient metrics
-   registry is installed (experiments_main --out-dir), each trial's wall
-   time is observed into it; otherwise the cost is one atomic read per
-   trial. *)
-let run_trials ?jobs ?pool ~trials ~seed body =
-  let children = Prng.split_many (Prng.create ~seed) trials in
-  let trial i =
-    match Telemetry.Metrics.ambient () with
-    | None -> body children.(i)
-    | Some reg ->
-        let t0 = Unix.gettimeofday () in
-        let result = body children.(i) in
-        Telemetry.Metrics.observe reg "trial_wall_s" (Unix.gettimeofday () -. t0);
-        result
-  in
-  match pool with
-  | Some pool -> Engine.Pool.init pool trials trial
-  | None ->
-      let jobs = match jobs with Some j -> j | None -> Engine.Pool.default_jobs () in
-      Engine.Pool.with_pool ~jobs (fun pool -> Engine.Pool.init pool trials trial)
-
 (* Per-trial record folded (in trial order) into a [measurement]. *)
 type trial = {
   time : float option;  (* convergence time, when the trial converged *)
@@ -44,28 +19,18 @@ type trial = {
   silent : bool option;  (* silence of the final config, when checked *)
 }
 
-let measure ~label ~protocol ~init ~task ~expected_time ?(engine = Engine.Exec.Agent)
-    ?check_silence ?jobs ?pool ~trials ~seed () =
-  let n = protocol.Engine.Protocol.n in
-  let check_silence =
-    match check_silence with Some b -> b | None -> protocol.Engine.Protocol.deterministic
-  in
+let measure ~label ~protocol ~init ~expected_time ?(engine = Engine.Exec.Agent) ?jobs ~trials
+    ~seed () =
   let outcomes =
-    run_trials ?jobs ?pool ~trials ~seed (fun rng ->
+    Fleet.Run.run_trials ?jobs ~trials ~seed (fun _ rng ->
         let config = init rng in
         let exec =
           Telemetry.Span.wrap "init_drain" (fun () ->
               Engine.Exec.make ~kind:engine ~protocol ~init:config ~rng ())
         in
-        let outcome =
-          Telemetry.Span.wrap "advance" (fun () ->
-              Engine.Runner.run_to_stability ~task
-                ~max_interactions:(Engine.Runner.default_horizon ~n ~expected_time)
-                ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-                exec)
-        in
+        let outcome = Fleet.Run.stabilize ~expected_time exec in
         let silent =
-          if outcome.Engine.Runner.converged && check_silence then
+          if outcome.Engine.Runner.converged && protocol.Engine.Protocol.deterministic then
             (* the count engine answers through its exact oracle; the agent
                engine needs the O(d²) configuration scan *)
             match Engine.Exec.silent exec with
@@ -108,7 +73,7 @@ let measure ~label ~protocol ~init ~task ~expected_time ?(engine = Engine.Exec.A
     outcomes;
   {
     label;
-    n;
+    n = protocol.Engine.Protocol.n;
     times = Array.of_list (List.rev !times);
     events = Array.of_list (List.rev !events);
     failures = !failures;

@@ -2,9 +2,9 @@
 
     Each experiment module ([Exp_table1], [Exp_silent_lb], …) measures one
     table, figure or claim of the paper and renders paper-shaped text
-    tables. This module provides the trial runner (seeded, parallel over a
-    domain pool, with convergence confirmation and optional silence
-    checking) and the sweep helpers. *)
+    tables. Their trials are seeded and dispatched by
+    [Fleet.Run.run_trials]; this module provides the run-to-stability
+    measurement (with silence checking) and the sweep helpers. *)
 
 type mode = Quick | Full
 (** [Quick] keeps every experiment under roughly a minute (the
@@ -25,50 +25,31 @@ type measurement = {
   silent_ok : int;  (** …of which were silent *)
 }
 
-val run_trials :
-  ?jobs:int -> ?pool:Engine.Pool.t -> trials:int -> seed:int -> (Prng.t -> 'a) -> 'a array
-(** [run_trials ~jobs ~trials ~seed body] runs [body] once per trial on a
-    domain pool of [jobs] workers (default {!Engine.Pool.default_jobs}; an
-    existing [pool] can be supplied instead) and returns the results in
-    trial order. Child generators are pre-split from [seed] {e before}
-    dispatch — one per trial index — so the result array is bit-for-bit
-    identical for every [jobs] value. [body] must draw randomness only
-    from its argument.
-
-    When an ambient metrics registry is installed
-    ([Telemetry.Metrics.install], as [experiments_main --out-dir] does),
-    every trial observes its wall time into the ["trial_wall_s"] histogram;
-    with none installed the overhead is one atomic read per trial. *)
-
 val measure :
   label:string ->
   protocol:'a Engine.Protocol.t ->
   init:(Prng.t -> 'a array) ->
-  task:Engine.Runner.task ->
   expected_time:float ->
   ?engine:Engine.Exec.kind ->
-  ?check_silence:bool ->
   ?jobs:int ->
-  ?pool:Engine.Pool.t ->
   trials:int ->
   seed:int ->
   unit ->
   measurement
-(** Runs [trials] independent simulations (child generators split from
-    [seed], one per trial, executed via {!run_trials}), each until
-    stability or until the horizon
-    [Engine.Runner.default_horizon ~n ~expected_time]. [engine] picks the
-    executor (default [Agent]; [Count] requires a deterministic protocol
-    and exploits the exact-silence oracle, reaching populations the agent
-    engine cannot). When [check_silence] (default: the protocol's
-    [deterministic] flag) the final configuration of each converged trial
-    is tested for silence — exactly via the oracle on the count engine, by
-    configuration scan on the agent engine. The measurement is identical
-    for every [jobs] value (but differs between engines: they follow
-    different random trajectories, equal only in distribution). With an
-    ambient metrics registry installed, each trial additionally folds its
-    engine counters ([Engine.Exec.stats], prefixed ["engine."]) into the
-    registry. *)
+(** Runs [trials] independent simulations through [Fleet.Run.run_trials]
+    (on [jobs] domains; without [jobs], in order), each to stability under
+    [Fleet.Run.stabilize ~expected_time] — the stopping rule of every run
+    to stability, [ssr_sim]'s and the fleet's included. [engine] picks
+    the executor (default [Agent]; [Count] requires a deterministic
+    protocol and exploits the exact-silence oracle, reaching populations
+    the agent engine cannot). For a deterministic protocol the final
+    configuration of each converged trial is tested for silence — exactly
+    via the oracle on the count engine, by configuration scan on the agent
+    engine. The measurement is identical for every [jobs] value (but
+    differs between engines: they follow different random trajectories,
+    equal only in distribution). With an ambient metrics registry
+    installed, each trial additionally folds its engine counters
+    ([Engine.Exec.stats], prefixed ["engine."]) into the registry. *)
 
 val summary : measurement -> Stats.Summary.t
 (** Summary of the convergence times; raises if no trial converged. *)

@@ -7,7 +7,13 @@ let description =
    driven by the interpreted transition vs the compiled kernel (memoized
    int-code table). The speedup column is the CI artifact that guards
    the compiler's reason to exist; the kernel columns make a slow compile
-   or a skipped memoization visible next to it. *)
+   or a skipped memoization visible next to it. Each loop is warmed up
+   once and then timed [repeats] times, interpreted and compiled in
+   alternation: a throughput cell is the median repeat, and a speedup is
+   the median of the per-repeat ratios with their min–max next to it, so
+   host noise shows in the table instead of passing for a result. *)
+let repeats = 5
+
 let kernel_section buf =
   Buffer.add_string buf "== Kernel compiler: compiled vs interpreted step throughput ==\n\n";
   let steps = 4_000_000 in
@@ -17,16 +23,27 @@ let kernel_section buf =
     Stats.Table.create
       ~header:
         [
-          "protocol"; "interp Msteps/s"; "compiled Msteps/s"; "step speedup"; "sim speedup";
-          "states"; "table cells"; "compile ms";
+          "protocol"; "interp Msteps/s"; "compiled Msteps/s"; "step speedup (min-max)";
+          "sim speedup (min-max)"; "states"; "table cells"; "compile ms";
         ]
   in
-  let time run =
-    ignore (run ());
-    (* warmup *)
+  let timed run =
     let t0 = Unix.gettimeofday () in
     run ();
     Unix.gettimeofday () -. t0
+  in
+  (* per-repeat (interpreted, compiled) wall times *)
+  let rounds interp compiled =
+    interp ();
+    compiled ();
+    Array.init repeats (fun _ ->
+        let i = timed interp in
+        (i, timed compiled))
+  in
+  let median xs = (Stats.Summary.of_array xs).Stats.Summary.median in
+  let speedup rounds =
+    let s = Stats.Summary.of_array (Array.map (fun (i, c) -> i /. c) rounds) in
+    Printf.sprintf "%.2fx (%.2f-%.2f)" s.Stats.Summary.median s.Stats.Summary.min s.Stats.Summary.max
   in
   let bench : 'a. label:string -> 'a Engine.Enumerable.t -> init:'a array -> unit =
    fun ~label e ~init ->
@@ -44,47 +61,41 @@ let kernel_section buf =
     let db = Array.map (Ir.Kernel.decode kernel) kb in
     let interp_tr = p.Engine.Protocol.transition in
     let compiled_tr = kernel.Ir.Kernel.compiled.Engine.Protocol.transition in
-    let step_interp_s =
-      time (fun () ->
-          let rng = Prng.create ~seed:44 in
-          for i = 0 to steps - 1 do
-            let k = i land mask in
-            ignore (interp_tr rng da.(k) db.(k))
-          done)
+    (* two loops rather than one generic one, so the compiled loop reads
+       its int arrays without the polymorphic array access *)
+    let step_interp () =
+      let rng = Prng.create ~seed:44 in
+      for i = 0 to steps - 1 do
+        let k = i land mask in
+        ignore (interp_tr rng da.(k) db.(k))
+      done
     in
-    let step_compiled_s =
-      time (fun () ->
-          let rng = Prng.create ~seed:44 in
-          for i = 0 to steps - 1 do
-            let k = i land mask in
-            ignore (compiled_tr rng ka.(k) kb.(k))
-          done)
+    let step_compiled () =
+      let rng = Prng.create ~seed:44 in
+      for i = 0 to steps - 1 do
+        let k = i land mask in
+        ignore (compiled_tr rng ka.(k) kb.(k))
+      done
     in
+    let step_rounds = rounds step_interp step_compiled in
     (* End-to-end: a full agent-engine run (pair sampling, monitor and
        event bookkeeping included), interpreted vs compiled codes. *)
     let sim_steps = steps / 4 in
-    let sim_interp_s =
-      time (fun () ->
-          let sim = Engine.Sim.make ~protocol:p ~init ~rng:(Prng.create ~seed:42) in
-          Engine.Sim.run sim sim_steps)
+    let sim protocol init () =
+      Engine.Sim.run (Engine.Sim.make ~protocol ~init ~rng:(Prng.create ~seed:42)) sim_steps
     in
-    let code_init = Array.map (Ir.Kernel.encode kernel) init in
-    let sim_compiled_s =
-      time (fun () ->
-          let sim =
-            Engine.Sim.make ~protocol:kernel.Ir.Kernel.compiled ~init:code_init
-              ~rng:(Prng.create ~seed:42)
-          in
-          Engine.Sim.run sim sim_steps)
+    let sim_rounds =
+      rounds (sim p init)
+        (sim kernel.Ir.Kernel.compiled (Array.map (Ir.Kernel.encode kernel) init))
     in
-    let mps s = float_of_int steps /. s /. 1e6 in
+    let mps times = float_of_int steps /. median times /. 1e6 in
     Stats.Table.add_row table
       [
         label;
-        Printf.sprintf "%.2f" (mps step_interp_s);
-        Printf.sprintf "%.2f" (mps step_compiled_s);
-        Printf.sprintf "%.2fx" (step_interp_s /. step_compiled_s);
-        Printf.sprintf "%.2fx" (sim_interp_s /. sim_compiled_s);
+        Printf.sprintf "%.2f" (mps (Array.map fst step_rounds));
+        Printf.sprintf "%.2f" (mps (Array.map snd step_rounds));
+        speedup step_rounds;
+        speedup sim_rounds;
         string_of_int m;
         (if kernel.Ir.Kernel.ir.Ir.table = None then "0" else string_of_int (m * m));
         Printf.sprintf "%.1f" (1000.0 *. kernel.Ir.Kernel.compile_s);

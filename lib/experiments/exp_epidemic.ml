@@ -16,7 +16,7 @@ let run ~mode ~seed ~jobs =
   List.iter
     (fun n ->
       let samples =
-        Exp_common.run_trials ~jobs ~trials ~seed:(seed + n) (fun rng ->
+        Fleet.Run.run_trials ~jobs ~trials ~seed:(seed + n) (fun _ rng ->
             (Processes.Epidemic.run rng ~n).Processes.Epidemic.completion_time)
       in
       let s = Stats.Summary.of_array samples in
@@ -41,7 +41,7 @@ let run ~mode ~seed ~jobs =
   List.iter
     (fun k ->
       let samples =
-        Exp_common.run_trials ~jobs ~trials:tau_trials ~seed:(seed + (100 * k)) (fun rng ->
+        Fleet.Run.run_trials ~jobs ~trials:tau_trials ~seed:(seed + (100 * k)) (fun _ rng ->
             Processes.Bounded_epidemic.tau_sample rng ~n ~k)
       in
       let s = Stats.Summary.of_array samples in
@@ -67,7 +67,7 @@ let run ~mode ~seed ~jobs =
   List.iter
     (fun n ->
       let pairs =
-        Exp_common.run_trials ~jobs ~trials ~seed:(seed + (3 * n) + 1) (fun rng ->
+        Fleet.Run.run_trials ~jobs ~trials ~seed:(seed + (3 * n) + 1) (fun _ rng ->
             let roll = (Processes.Roll_call.run rng ~n).Processes.Roll_call.completion_time in
             let epi = (Processes.Epidemic.run rng ~n).Processes.Epidemic.completion_time in
             (roll, epi))
@@ -96,7 +96,7 @@ let run ~mode ~seed ~jobs =
   List.iter
     (fun warmup ->
       let bits =
-        Exp_common.run_trials ~jobs ~trials:restarts ~seed:(seed + warmup + 7) (fun rng ->
+        Fleet.Run.run_trials ~jobs ~trials:restarts ~seed:(seed + warmup + 7) (fun _ rng ->
             (Processes.Synthetic_coin.harvest rng ~n ~warmup ~count:1).(0))
       in
       let ones = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 bits in

@@ -9,7 +9,7 @@ let description = "Exhaustive Markov-chain validation of Silent-n-state-SSR at s
 let simulate ~engine ~protocol ~init ~jobs ~trials ~seed =
   let n = protocol.Engine.Protocol.n in
   let times =
-    Exp_common.run_trials ~jobs ~trials ~seed (fun rng ->
+    Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
         let exec = Engine.Exec.make ~kind:engine ~protocol ~init ~rng () in
         let o =
           Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking

@@ -116,7 +116,6 @@ let run ~mode ~seed ~jobs =
               Array.init n (fun i ->
                   if i = 0 then Core.Optimal_silent.settled ~rank:1 ~children:0
                   else Core.Optimal_silent.unsettled ~errorcount:params.Core.Params.e_max))
-            ~task:Engine.Runner.Ranking
             ~expected_time:(float_of_int (10 * n))
             ~jobs ~trials ~seed ()
         in

@@ -37,7 +37,7 @@ let run ~mode ~seed ~jobs =
       List.iter
         (fun (scenario, make_init) ->
           let outcomes =
-            Exp_common.run_trials ~jobs ~trials ~seed (fun rng ->
+            Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
                 let _, ok, time =
                   converge_from ~protocol ~init:(make_init rng) ~rng ~horizon:(100 * t_max * n)
                 in
@@ -83,7 +83,7 @@ let run ~mode ~seed ~jobs =
       let t_max = factor * Core.Params.ceil_ln n in
       let protocol = Core.Loose.protocol ~n ~t_max in
       let outcomes =
-        Exp_common.run_trials ~jobs ~trials ~seed:(seed + 1) (fun rng ->
+        Fleet.Run.run_trials ~jobs ~trials ~seed:(seed + 1) (fun _ rng ->
             let sim, ok, _ =
               converge_from ~protocol ~init:(Core.Loose.uniform rng ~n ~t_max) ~rng
                 ~horizon:(100 * t_max * n)

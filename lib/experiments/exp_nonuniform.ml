@@ -26,7 +26,7 @@ let run ~mode ~seed ~jobs =
     (fun (n1, n2) ->
       let protocol = mismatched_protocol ~n1 ~n2 in
       let samples =
-        Exp_common.run_trials ~jobs ~trials ~seed (fun rng ->
+        Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
             (* n2 agents, ranks within 0..n1-1, exactly one at rank 0: a
                single-leader configuration that would be stable at size n1.
                The surplus agents duplicate ranks in the top half, so the

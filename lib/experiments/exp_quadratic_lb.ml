@@ -17,7 +17,6 @@ let run ~mode ~seed ~jobs =
         let m =
           Exp_common.measure ~label:"worst" ~protocol
             ~init:(fun _ -> Core.Scenarios.silent_worst_case ~n)
-            ~task:Engine.Runner.Ranking
             ~expected_time:(Stats.Theory.quadratic_barrier_time n)
             ~jobs ~trials ~seed ()
         in

@@ -74,7 +74,7 @@ let run ~mode ~seed ~jobs =
           (* The awake counter lives inside the trial: each parallel trial
              wraps its own protocol record around its own counter. *)
           let samples =
-            Exp_common.run_trials ~jobs ~trials ~seed (fun rng ->
+            Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
                 let awake_counter = ref 0 in
                 let protocol = reset_only_protocol ~n ~r_max ~d_max ~awake_counter in
                 let init = make_init rng ~n ~r_max ~d_max in

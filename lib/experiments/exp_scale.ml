@@ -2,8 +2,8 @@ let name = "scale"
 
 let description = "Table 1 row 1 at scale: exact Θ(n²) stabilization via the count-based engine"
 
-(* Same measurement policy as every other experiment ([Exp_common.measure]
-   driving [Engine.Runner]), just on the count-based executor: the
+(* The stopping rule of every run to stability ([Exp_common.measure]
+   through [Fleet.Run.stabilize]), just on the count-based executor: the
    exact-silence oracle reports stabilization with no confirmation window,
    so populations of several thousands stay cheap. *)
 let measure ~scenario ~make_init ~ns ~jobs ~trials ~seed buf =
@@ -19,7 +19,7 @@ let measure ~scenario ~make_init ~ns ~jobs ~trials ~seed buf =
         let m =
           Exp_common.measure ~label:"silent-n-state-scale" ~protocol
             ~init:(fun rng -> make_init rng ~n)
-            ~task:Engine.Runner.Ranking ~expected_time:theory
+            ~expected_time:theory
             ~engine:Engine.Exec.Count ~jobs ~trials ~seed ()
         in
         if m.Exp_common.failures > 0 || m.Exp_common.silent_ok < m.Exp_common.silent_checked

@@ -27,7 +27,7 @@ let sweep ?(engine = Engine.Exec.Agent) buf ~title ~protocol ~catalogue ~expecte
   List.iter
     (fun (scenario, gen) ->
       let m =
-        Exp_common.measure ~label:scenario ~protocol ~init:gen ~task:Engine.Runner.Ranking
+        Exp_common.measure ~label:scenario ~protocol ~init:gen
           ~expected_time ~engine ~jobs ~trials ~seed ()
       in
       Stats.Table.add_row table (row_of_measurement scenario m trials))
@@ -47,7 +47,7 @@ let recovery_at_scale buf ~n ~fraction ~jobs ~trials ~seed =
       ~header:[ "n"; "corrupted"; "trials"; "mean recovery"; "p95"; "fail"; "events mean" ]
   in
   let samples =
-    Exp_common.run_trials ~jobs ~trials ~seed (fun rng ->
+    Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
         let exec =
           Engine.Exec.make ~kind:Engine.Exec.Count ~protocol
             ~init:(Core.Scenarios.silent_correct ~n) ~rng ()
@@ -56,14 +56,7 @@ let recovery_at_scale buf ~n ~fraction ~jobs ~trials ~seed =
           Engine.Exec.corrupt exec ~rng ~fraction (fun rng ->
               Core.Silent_n_state.state_of_rank0 (Prng.int rng n) ~n)
         in
-        let o =
-          Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking
-            ~max_interactions:
-              (Engine.Runner.default_horizon ~n
-                 ~expected_time:(float_of_int (n * n) /. 2.0))
-            ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-            exec
-        in
+        let o = Fleet.Run.stabilize ~expected_time:(float_of_int (n * n) /. 2.0) exec in
         (corrupted, o, Engine.Exec.events exec))
   in
   let corrupted = match samples.(0) with c, _, _ -> c in

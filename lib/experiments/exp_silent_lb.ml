@@ -30,7 +30,6 @@ let run ~mode ~seed ~jobs =
             let victim, source = Prng.distinct_pair rng n in
             config.(victim) <- config.(source);
             config)
-          ~task:Engine.Runner.Ranking
           ~expected_time:(Stats.Theory.quadratic_barrier_time n)
           ~jobs ~trials ~seed ()
       in
@@ -40,7 +39,6 @@ let run ~mode ~seed ~jobs =
         let protocol = Core.Optimal_silent.protocol ~params ~n () in
         Exp_common.measure ~label:"planted" ~protocol
           ~init:(fun rng -> Core.Scenarios.optimal_duplicate_rank rng ~n)
-          ~task:Engine.Runner.Ranking
           ~expected_time:(float_of_int (20 * n))
           ~jobs ~trials ~seed:(seed + 1) ()
       in

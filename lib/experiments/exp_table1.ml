@@ -66,7 +66,6 @@ let run ~mode ~seed ~jobs =
         let protocol = Core.Silent_n_state.protocol ~n in
         Exp_common.measure ~label:"silent-n-state" ~protocol
           ~init:(fun rng -> Core.Scenarios.silent_uniform rng ~n)
-          ~task:Engine.Runner.Ranking
           ~expected_time:(float_of_int (n * n) /. 2.0)
           ~engine:Engine.Exec.Count ~jobs ~trials ~seed ())
   in
@@ -95,7 +94,6 @@ let run ~mode ~seed ~jobs =
         let protocol = Core.Optimal_silent.protocol ~params ~n () in
         Exp_common.measure ~label:"optimal-silent" ~protocol
           ~init:(fun rng -> Core.Scenarios.optimal_uniform rng ~params ~n)
-          ~task:Engine.Runner.Ranking
           ~expected_time:(float_of_int (20 * n))
           ~engine:Engine.Exec.Count ~jobs ~trials ~seed:(seed + 1) ())
   in
@@ -117,7 +115,6 @@ let run ~mode ~seed ~jobs =
         let protocol = Core.Sublinear.protocol ~params ~n ~h () in
         Exp_common.measure ~label:"sublinear-log" ~protocol
           ~init:(fun rng -> Core.Scenarios.sublinear_name_collision rng ~params ~n)
-          ~task:Engine.Runner.Ranking
           ~expected_time:(float_of_int (params.Core.Params.d_max + (4 * params.Core.Params.t_h) + 50))
           ~jobs ~trials ~seed:(seed + 2) ())
   in
@@ -132,7 +129,6 @@ let run ~mode ~seed ~jobs =
         let protocol = Core.Sublinear.protocol ~params ~n ~h () in
         Exp_common.measure ~label:"sublinear-h1" ~protocol
           ~init:(fun rng -> Core.Scenarios.sublinear_name_collision rng ~params ~n)
-          ~task:Engine.Runner.Ranking
           ~expected_time:(float_of_int (params.Core.Params.d_max + (4 * params.Core.Params.t_h) + 50))
           ~jobs ~trials ~seed:(seed + 3) ())
   in

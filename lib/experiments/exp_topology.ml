@@ -51,7 +51,7 @@ let run ~mode ~seed ~jobs =
       List.iteri
         (fun t_idx topology ->
           let times =
-            Exp_common.run_trials ~jobs ~trials ~seed:(seed + (17 * n) + t_idx) (fun rng ->
+            Fleet.Run.run_trials ~jobs ~trials ~seed:(seed + (17 * n) + t_idx) (fun _ rng ->
                 epidemic_time ~topology ~rng)
           in
           let s = Stats.Summary.of_array times in
@@ -80,7 +80,7 @@ let run ~mode ~seed ~jobs =
   List.iteri
     (fun t_idx topology ->
       let outcomes =
-        Exp_common.run_trials ~jobs ~trials ~seed:(seed + 1 + t_idx) (fun rng ->
+        Fleet.Run.run_trials ~jobs ~trials ~seed:(seed + 1 + t_idx) (fun _ rng ->
             let init = Core.Scenarios.optimal_correct ~n in
             (* duplicate agent (n/2)'s rank onto agent 0: maximally distant
                on the ring *)
@@ -140,7 +140,7 @@ let run ~mode ~seed ~jobs =
   List.iteri
     (fun t_idx (tname, classes) ->
       let times =
-        Exp_common.run_trials ~jobs ~trials:big_trials ~seed:(seed + 31 + t_idx) (fun rng ->
+        Fleet.Run.run_trials ~jobs ~trials:big_trials ~seed:(seed + 31 + t_idx) (fun _ rng ->
             let protocol = infection_protocol ~n:n_big in
             (* seed the infection at agent n-1 — on the star a leaf, not
                the hub, so the two-hop structure is exercised *)

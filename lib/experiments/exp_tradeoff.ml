@@ -27,7 +27,7 @@ let measure_detection ~n ~h ~jobs ~trials ~seed =
   let params = Core.Params.sublinear ~h n in
   let protocol = Core.Sublinear.protocol ~params ~n ~h () in
   let outcomes =
-    Exp_common.run_trials ~jobs ~trials ~seed (fun rng ->
+    Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
         let init = Core.Scenarios.sublinear_name_collision rng ~params ~n in
         detection_latency ~protocol ~init ~rng ~horizon:(400 * n * n))
   in

@@ -6,7 +6,7 @@ type experiment = {
   run : mode:Exp_common.mode -> seed:int -> jobs:int -> string;
       (** [jobs] is the domain-pool width for the experiment's Monte Carlo
           batches; results are identical for every value (see
-          {!Exp_common.run_trials}). *)
+          [Fleet.Run.run_trials]). *)
 }
 
 val all : experiment list

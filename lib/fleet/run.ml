@@ -124,6 +124,22 @@ let succeeded = function
   | Stable o -> o.Engine.Runner.converged
   | Soaked r -> r.Chaos.Soak.sla.Chaos.Soak.met
 
+let stabilize ?deadline ~expected_time exec =
+  let n = Engine.Exec.n exec in
+  let horizon = Engine.Runner.default_horizon ~n ~expected_time in
+  let max_interactions = match deadline with Some d -> min d horizon | None -> horizon in
+  let o =
+    Telemetry.Span.wrap "advance" (fun () ->
+        Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking ~max_interactions
+          ~confirm_interactions:(Engine.Runner.default_confirm ~n)
+          exec)
+  in
+  (match deadline with
+  | Some deadline when not o.Engine.Runner.converged ->
+      raise (Deadline_exceeded { interactions = o.Engine.Runner.total_interactions; deadline })
+  | Some _ | None -> ());
+  o
+
 type hook = { hook : 's. 's Engine.Exec.t -> unit }
 type finished = Finished : { exec : 's Engine.Exec.t; outcome : outcome } -> finished
 
@@ -154,22 +170,7 @@ let trial ?hook ?sink ?trial ~seed ~scenario_rng ~rng (Plan p) =
   let outcome =
     match p.mode with
     | Stability { deadline } ->
-        let horizon =
-          Engine.Runner.default_horizon ~n ~expected_time:(p.horizon_scale *. float_of_int n)
-        in
-        let max_interactions = match deadline with Some d -> min d horizon | None -> horizon in
-        let o =
-          Telemetry.Span.wrap "advance" (fun () ->
-              Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking ~max_interactions
-                ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-                exec)
-        in
-        (match deadline with
-        | Some deadline when not o.Engine.Runner.converged ->
-            raise
-              (Deadline_exceeded { interactions = o.Engine.Runner.total_interactions; deadline })
-        | Some _ | None -> ());
-        Stable o
+        Stable (stabilize ?deadline ~expected_time:(p.horizon_scale *. float_of_int n) exec)
     | Soak { schedule; adversary; horizon; sla_budget } ->
         Soaked
           (Telemetry.Span.wrap "soak" (fun () ->
@@ -179,32 +180,66 @@ let trial ?hook ?sink ?trial ~seed ~scenario_rng ~rng (Plan p) =
   Telemetry.Metrics.record_exec exec;
   Finished { exec; outcome }
 
-type completed = { outcome : outcome; wall_s : float }
+(* Trial [i] draws only from the [i]-th child, split from the root before
+   anything is dispatched, so the results depend on [seed] and [trials]
+   alone, never on [jobs] (see the seeding discipline in [Engine.Pool]).
+   The ambient registry, when installed, gets each completed trial's wall
+   time and the pool's per-domain utilization, summed over batches. *)
+let run_trials ?jobs ~trials ~seed body =
+  let children = Prng.split_many (Prng.create ~seed) trials in
+  let registry = Telemetry.Metrics.ambient () in
+  let one i =
+    let t0 = Unix.gettimeofday () in
+    let result = body i children.(i) in
+    Option.iter
+      (fun reg -> Telemetry.Metrics.observe reg "trial_wall_s" (Unix.gettimeofday () -. t0))
+      registry;
+    result
+  in
+  match jobs with
+  | None -> Array.init trials one
+  | Some jobs ->
+      (* A worker counts a task in its stats only after the task's result
+         is delivered, so the stats are read once [with_pool] has joined
+         the workers. *)
+      let results, pool =
+        Engine.Pool.with_pool ~jobs (fun pool -> (Engine.Pool.init pool trials one, pool))
+      in
+      Option.iter
+        (fun reg ->
+          let sum name v =
+            Telemetry.Metrics.set reg name
+              (v +. Option.value ~default:0.0 (Telemetry.Metrics.gauge_value reg name))
+          in
+          Array.iteri
+            (fun slot { Engine.Pool.tasks; busy_s } ->
+              sum (Printf.sprintf "pool.domain%d.tasks" slot) (float_of_int tasks);
+              sum (Printf.sprintf "pool.domain%d.busy_s" slot) busy_s)
+            (Engine.Pool.stats pool))
+        registry;
+      results
 
 type batch = {
-  results : (completed, Supervise.failure) result array;
-  pool : Engine.Pool.domain_stats array;
+  results : (outcome, Supervise.failure) result array;
   buffers : Telemetry.Sink.t array;
 }
 
 let batch ?jobs ?hook ~events ~seed ~trials plan =
-  let children = Prng.split_many (Prng.create ~seed) trials in
   let buffers = if events then Array.init trials (fun _ -> Telemetry.Sink.buffer ()) else [||] in
-  let one i =
-    let t0 = Unix.gettimeofday () in
-    let rng = children.(i) in
+  let one i rng =
     let sink = if events then Some buffers.(i) else None in
-    let (Finished { outcome; _ }) =
-      trial ?hook ?sink ~trial:i ~seed ~scenario_rng:rng ~rng plan
-    in
-    { outcome; wall_s = Unix.gettimeofday () -. t0 }
+    let (Finished { outcome; _ }) = trial ?hook ?sink ~trial:i ~seed ~scenario_rng:rng ~rng plan in
+    outcome
   in
-  match jobs with
-  | None -> { results = Array.init trials (fun i -> Ok (one i)); pool = [||]; buffers }
-  | Some jobs ->
-      Engine.Pool.with_pool ~jobs (fun pool ->
-          let results = Engine.Pool.init pool trials (fun i -> Supervise.run (fun () -> one i)) in
-          { results; pool = Engine.Pool.stats pool; buffers })
+  (* On a pool each trial is supervised, so a raising trial becomes an
+     [Error] and its siblings still run; in order, the first raise ends
+     the batch. *)
+  let one =
+    match jobs with
+    | None -> fun i rng -> Ok (one i rng)
+    | Some _ -> fun i rng -> Supervise.run (fun () -> one i rng)
+  in
+  { results = run_trials ?jobs ~trials ~seed one; buffers }
 
 (* Failed trials' partial buffers are skipped: completed trials'
    telemetry is kept, half-written runs are not. *)

@@ -7,13 +7,17 @@
     - {b Executor construction.} A {!plan} resolves a protocol, scenario,
       engine, kernel and topology once; every trial builds its executor
       from it through [Ir.Kernel.exec] or [Engine.Exec.make].
-    - {b One trial.} [Runner.run_to_stability] or [Chaos.Soak.run] over a
-      fresh executor, with its events attached to a sink and its engine
+    - {b One stopping rule.} {!stabilize}: the task, confirmation window
+      and horizon of every run to stability, the experiments' included.
+    - {b One trial.} {!stabilize} or [Chaos.Soak.run] over a fresh
+      executor, with its events attached to a sink and its engine
       counters published to the ambient metrics registry.
-    - {b One batch.} Per-trial PRNG children pre-split from the seed in
-      trial order, per-trial buffer sinks flushed in trial order, and
-      supervision on a domain pool — or, without a pool, a fail-fast
-      sequential loop (the fleet worker's attempt semantics).
+    - {b One seeded batch.} {!run_trials}: per-trial PRNG children
+      pre-split from the seed in trial order, run on a domain pool or in
+      order on the calling domain. {!batch} runs {!trial} through it, with
+      per-trial buffer sinks flushed in trial order and supervision on a
+      pool — or, without a pool, fail-fast (the fleet worker's attempt
+      semantics).
 
     {b Entropy.} A batch hands trial [i] the [i]-th [Prng.split_many]
     child of [Prng.create ~seed], which draws both the scenario and the
@@ -94,6 +98,13 @@ type outcome = Stable of Engine.Runner.outcome | Soaked of Chaos.Soak.report
 val succeeded : outcome -> bool
 (** Converged, or (a soak) met its SLA. *)
 
+val stabilize : ?deadline:int -> expected_time:float -> 's Engine.Exec.t -> Engine.Runner.outcome
+(** The stopping rule of every run to stability: [Runner.run_to_stability]
+    on the [Ranking] task with the [Runner.default_confirm] window and the
+    [Runner.default_horizon] for [expected_time] (parallel time), capped
+    at [deadline] interactions when given, under the span [advance]. Past
+    the [deadline], an unconverged run raises {!Deadline_exceeded}. *)
+
 type hook = { hook : 's. 's Engine.Exec.t -> unit }
 (** Runs on each trial's fresh executor before it advances — to subscribe
     an extra event handler, say. *)
@@ -112,25 +123,40 @@ val trial :
 (** Draws the initial configuration from [scenario_rng], builds the
     executor on [rng] (span [init_drain]), attaches the events of run
     [(seed, trial)] to [sink], runs [hook], then runs the plan's mode
-    (span [advance] or [soak]) and publishes the engine counters with
+    ({!stabilize} with the expected time [horizon_scale · n], or a soak
+    under the span [soak]) and publishes the engine counters with
     [Telemetry.Metrics.record_exec]. *)
 
 (** {2 Batches} *)
 
-type completed = { outcome : outcome; wall_s : float }
+val run_trials : ?jobs:int -> trials:int -> seed:int -> (int -> Prng.t -> 'a) -> 'a array
+(** [run_trials ~trials ~seed body] runs [body i child] for every trial
+    [i], where [child] is the [i]-th [Prng.split_many] child of
+    [Prng.create ~seed], split before anything runs, and returns the
+    results in trial order. [body] must draw randomness only from its
+    child, so the array is identical for every [jobs] value. Without
+    [jobs], the trials run in order on the calling domain and the first
+    raise propagates at once; with [jobs], they run on a pool of that many
+    domains and the lowest-indexed raise is re-raised once all finish.
+
+    With an ambient metrics registry installed, every trial that returns
+    observes its wall time into the ["trial_wall_s"] histogram, and a
+    pool adds its per-domain utilization to the
+    ["pool.domain<slot>.tasks"] and ["pool.domain<slot>.busy_s"] gauges.
+    This is the only place trials are seeded and dispatched: {!batch}, the
+    experiments and the tests all go through it. *)
 
 type batch = {
-  results : (completed, Supervise.failure) result array;  (** trial order *)
-  pool : Engine.Pool.domain_stats array;  (** empty without a pool *)
+  results : (outcome, Supervise.failure) result array;  (** trial order *)
   buffers : Telemetry.Sink.t array;  (** per-trial events; empty unless [events] *)
 }
 
 val batch : ?jobs:int -> ?hook:hook -> events:bool -> seed:int -> trials:int -> plan -> batch
-(** Runs [trials] trials of the plan, trial [i] on the [i]-th pre-split
-    child. With [jobs], on a pool of that many domains, each trial under
+(** {!run_trials} over {!trial}: trial [i] draws both its scenario and its
+    run from the [i]-th child. With [jobs], each trial runs under
     {!Supervise.run}: a raising trial becomes an [Error] and its siblings
-    still run. Without [jobs], in order on the calling domain: the first
-    raising trial's exception propagates at once. *)
+    still run. Without [jobs], the first raising trial's exception
+    propagates at once (the fleet worker's attempt semantics). *)
 
 val write_events : batch -> string -> unit
 (** Writes the events of the successful trials to the file, in trial

@@ -39,7 +39,7 @@ let run ~out_dir ?kill_at ?(stall = false) ~attempt (job : Job.t) =
   in
   let converged =
     Array.fold_left
-      (fun acc r -> match r with Ok { Run.outcome; _ } when Run.succeeded outcome -> acc + 1 | _ -> acc)
+      (fun acc r -> match r with Ok outcome when Run.succeeded outcome -> acc + 1 | _ -> acc)
       0 batch.Run.results
   in
   (* A kill drawn past the last event the trials produced must still

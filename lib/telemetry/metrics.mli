@@ -11,10 +11,10 @@
 
     {2 Ambient registry}
 
-    Library code that should stay telemetry-agnostic (the experiment trial
-    runner) checks {!ambient} — a process-global optional registry — and
-    records only when one is installed. When none is installed the cost is
-    one atomic read per {e trial}, i.e. nothing. *)
+    Library code that should stay telemetry-agnostic (the trial runner,
+    [Fleet.Run.run_trials]) checks {!ambient} — a process-global optional
+    registry — and records only when one is installed. When none is
+    installed the cost is one atomic read per {e batch}, i.e. nothing. *)
 
 type t
 

@@ -37,7 +37,7 @@ let count_time_to_silence ~n rng =
   o.Engine.Count_sim.stabilization_time
 
 let samples ~n ~seed body =
-  Experiments.Exp_common.run_trials ~jobs:2 ~trials ~seed (fun rng -> body ~n rng)
+  Fleet.Run.run_trials ~jobs:2 ~trials ~seed (fun _ rng -> body ~n rng)
 
 let test_engines_agree_in_law () =
   List.iter
@@ -87,7 +87,7 @@ let test_means_match_exact_chain () =
 let chaos_recovery_times ~kind ~n ~seed =
   let schedule = Chaos.Schedule.periodic ~every:2000 in
   let adversary = Chaos.Adversary.corrupt ~fraction:0.25 in
-  Experiments.Exp_common.run_trials ~jobs:2 ~trials:120 ~seed (fun rng ->
+  Fleet.Run.run_trials ~jobs:2 ~trials:120 ~seed (fun _ rng ->
       let protocol = Core.Silent_n_state.protocol ~n in
       let exec =
         Engine.Exec.make ~kind ~protocol ~init:(Core.Scenarios.silent_correct ~n) ~rng ()
@@ -122,7 +122,7 @@ let test_chaos_recovery_agrees_in_law () =
    stale-closure regression this guards against), and the recovery law
    must still match the agent engine's. *)
 let optimal_fault_recovery_times ~make_exec ~n ~seed =
-  Experiments.Exp_common.run_trials ~jobs:2 ~trials:150 ~seed (fun rng ->
+  Fleet.Run.run_trials ~jobs:2 ~trials:150 ~seed (fun _ rng ->
       let params = Core.Params.optimal_silent n in
       let protocol = Core.Optimal_silent.protocol ~params ~n () in
       let exec = make_exec ~protocol ~init:(Core.Scenarios.optimal_correct ~n) ~rng in

@@ -33,7 +33,7 @@ let test_measure_accounting () =
   let m =
     Experiments.Exp_common.measure ~label:"t" ~protocol
       ~init:(fun rng -> Core.Scenarios.silent_uniform rng ~n)
-      ~task:Engine.Runner.Ranking ~expected_time:(float_of_int (n * n)) ~trials:6 ~seed:7 ()
+      ~expected_time:(float_of_int (n * n)) ~trials:6 ~seed:7 ()
   in
   check_int "converged + failed = trials" 6 (Array.length m.Experiments.Exp_common.times + m.Experiments.Exp_common.failures);
   check_int "silence checked on converged runs" (Array.length m.Experiments.Exp_common.times)
@@ -47,10 +47,55 @@ let test_measure_deterministic_in_seed () =
   let run () =
     Experiments.Exp_common.measure ~label:"t" ~protocol
       ~init:(fun rng -> Core.Scenarios.silent_uniform rng ~n)
-      ~task:Engine.Runner.Ranking ~expected_time:(float_of_int (n * n)) ~trials:4 ~seed:19 ()
+      ~expected_time:(float_of_int (n * n)) ~trials:4 ~seed:19 ()
   in
   Alcotest.(check (array (float 1e-12))) "same seed, same times"
     (run ()).Experiments.Exp_common.times (run ()).Experiments.Exp_common.times
+
+(* The experiments and ssr_sim/fleet share one seeded batch and one
+   stopping rule: a Fleet.Run batch over the catalogue's uniform plan and
+   Exp_common.measure over the same scenario and expected time give
+   bit-identical convergence times. *)
+let test_measure_matches_run_batch () =
+  let n = 8 and trials = 6 and seed = 7 in
+  let check (type s) ~name ~(protocol : s Engine.Protocol.t) ~(init : Prng.t -> s array)
+      ~expected_time engine =
+    let plan =
+      match
+        Fleet.Run.plan ~protocol:name ~n ~h:0 ~scenario:"uniform" ~engine ~compiled:false
+          (Fleet.Run.Stability { deadline = None })
+      with
+      | Ok plan -> plan
+      | Error msg -> Alcotest.fail msg
+    in
+    let batch = Fleet.Run.batch ~events:false ~seed ~trials plan in
+    let from_batch =
+      Array.to_list batch.Fleet.Run.results
+      |> List.filter_map (function
+           | Ok (Fleet.Run.Stable o) when o.Engine.Runner.converged ->
+               Some o.Engine.Runner.convergence_time
+           | Ok _ | Error _ -> None)
+    in
+    let m =
+      Experiments.Exp_common.measure ~label:name ~protocol ~init ~expected_time ~engine ~trials
+        ~seed ()
+    in
+    let label = Printf.sprintf "%s on the %s engine" name (Engine.Exec.kind_to_string engine) in
+    check_int (label ^ ": every trial converged") trials (List.length from_batch);
+    Alcotest.(check (list (float 0.0)))
+      label from_batch
+      (Array.to_list m.Experiments.Exp_common.times)
+  in
+  let params = Core.Params.optimal_silent n in
+  List.iter
+    (fun engine ->
+      check ~name:"silent" ~protocol:(Core.Silent_n_state.protocol ~n)
+        ~init:(fun rng -> Core.Scenarios.silent_uniform rng ~n)
+        ~expected_time:(float_of_int (n * n)) engine;
+      check ~name:"optimal" ~protocol:(Core.Optimal_silent.protocol ~params ~n ())
+        ~init:(fun rng -> Core.Scenarios.optimal_uniform rng ~params ~n)
+        ~expected_time:(float_of_int (40 * n)) engine)
+    [ Engine.Exec.Agent; Engine.Exec.Count ]
 
 let test_time_row_shape () =
   let n = 8 in
@@ -58,7 +103,7 @@ let test_time_row_shape () =
   let m =
     Experiments.Exp_common.measure ~label:"t" ~protocol
       ~init:(fun _ -> Core.Scenarios.silent_correct ~n)
-      ~task:Engine.Runner.Ranking ~expected_time:1.0 ~trials:3 ~seed:3 ()
+      ~expected_time:1.0 ~trials:3 ~seed:3 ()
   in
   check_int "row matches header" (List.length Experiments.Exp_common.time_header)
     (List.length (Experiments.Exp_common.time_row m))
@@ -108,6 +153,7 @@ let suite =
     Alcotest.test_case "trials of mode" `Quick test_trials_of_mode;
     Alcotest.test_case "measure accounting" `Slow test_measure_accounting;
     Alcotest.test_case "measure deterministic" `Slow test_measure_deterministic_in_seed;
+    Alcotest.test_case "measure matches Run.batch" `Quick test_measure_matches_run_batch;
     Alcotest.test_case "time row shape" `Quick test_time_row_shape;
     Alcotest.test_case "scaling fit" `Quick test_scaling_fit;
     Alcotest.test_case "figure1 tree shape" `Quick test_figure1_tree_shape;

@@ -1,6 +1,6 @@
 (* Tests for the Engine.Pool domain pool: ordered results, exception
    propagation, reuse after failure, and the jobs-invariance guarantee of
-   Exp_common.run_trials built on top of it. *)
+   Fleet.Run.run_trials built on top of it. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -91,9 +91,9 @@ let qcheck_run_trials_jobs_invariant =
   QCheck.Test.make ~name:"run_trials identical under jobs=1 and jobs=3" ~count:30
     QCheck.(pair small_int (int_range 0 12))
     (fun (seed, trials) ->
-      let body rng = Prng.float rng +. float_of_int (Prng.int rng 1000) in
-      let a = Experiments.Exp_common.run_trials ~jobs:1 ~trials ~seed body in
-      let b = Experiments.Exp_common.run_trials ~jobs:3 ~trials ~seed body in
+      let body _ rng = Prng.float rng +. float_of_int (Prng.int rng 1000) in
+      let a = Fleet.Run.run_trials ~jobs:1 ~trials ~seed body in
+      let b = Fleet.Run.run_trials ~jobs:3 ~trials ~seed body in
       a = b)
 
 (* Full-path determinism: measure (simulation trials, convergence times,
@@ -107,7 +107,6 @@ let qcheck_measure_jobs_invariant =
       let run ~jobs =
         Experiments.Exp_common.measure ~jobs ~label:"t" ~protocol
           ~init:(fun rng -> Core.Scenarios.silent_uniform rng ~n)
-          ~task:Engine.Runner.Ranking
           ~expected_time:(float_of_int (n * n))
           ~trials:6 ~seed ()
       in
