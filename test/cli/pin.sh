@@ -5,12 +5,15 @@
 # events files themselves are not committed: ring runs write ~6 MB.
 #
 # The experiments modes pin the quick-mode reports instead, minus the
-# per-experiment wall-clock lines.
+# per-experiment wall-clock lines. The analyze mode pins the IR dump of
+# every catalogue entry at n = 3 and 4, the certifying report and the
+# digest of each certificate it writes.
 #
 #   pin.sh ssr_sim          PATH/ssr_sim.exe          > ssr_sim.out
 #   pin.sh fleet            PATH/fleet.exe            > fleet.out
 #   pin.sh experiments      PATH/experiments_main.exe > experiments.out
 #   pin.sh experiments-slow PATH/experiments_main.exe > experiments_slow.out
+#   pin.sh analyze          PATH/analyze.exe          > analyze.out
 set -u
 mode=$1
 exe=$2
@@ -123,5 +126,18 @@ experiments)
   ;;
 experiments-slow)
   report table1 chaos
+  ;;
+analyze)
+  for key in $("$exe" --list | cut -d' ' -f1); do
+    for n in 3 4; do
+      echo "== analyze --dump-ir $key --n $n"
+      "$exe" --dump-ir "$key" --n "$n"
+      echo "exit $?"
+    done
+  done
+  echo "== analyze --protocol all --n 3 --n 4 --jobs 2 --certify"
+  "$exe" --protocol all --n 3 --n 4 --jobs 2 --certify --certify-dir "$tmp/certs"
+  echo "exit $?"
+  for cert in "$tmp"/certs/*.json; do echo "$(basename "$cert") $(digest "$cert")"; done
   ;;
 esac
