@@ -1,6 +1,6 @@
 let schema = "ssr.certificate/v1"
 
-type field_cert = {
+type field_cert = Absint.field_hull = {
   fname : string;
   declared : Domain.t;
   outputs : Domain.t;
@@ -17,7 +17,7 @@ type prop_cert = {
   outcomes : int;
 }
 
-type ranking_cert =
+type ranking_cert = Ranking.status =
   | Found of Ranking.atom list
   | Not_found of string
   | Skipped of string

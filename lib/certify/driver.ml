@@ -124,13 +124,7 @@ let certify_enumerable ~key ~report (e : _ Engine.Enumerable.t) =
   | Ok (ir, trans, abs, props, ranking) ->
       let p = e.Engine.Enumerable.protocol in
       let states = Ir.size ir in
-      let ranking_cert =
-        match ranking.Ranking.status with
-        | Ranking.Found atoms -> Certificate.Found atoms
-        | Ranking.Not_found reason -> Certificate.Not_found reason
-        | Ranking.Skipped reason -> Certificate.Skipped reason
-      in
-      let ranking_found = match ranking_cert with Certificate.Found _ -> true | _ -> false in
+      let ranking_found = match ranking.Ranking.status with Ranking.Found _ -> true | _ -> false in
       let convergence_claim =
         abs.Absint.range_sound && (ranking_found || abs.Absint.eventually_silent)
       in
@@ -181,23 +175,14 @@ let certify_enumerable ~key ~report (e : _ Engine.Enumerable.t) =
           static_pairs = trans.Trans.static_pairs;
           dynamic_pairs = trans.Trans.dynamic_pairs;
           escape_count = trans.Trans.escape_count;
-          fields =
-            List.map
-              (fun (h : Absint.field_hull) ->
-                {
-                  Certificate.fname = h.Absint.fname;
-                  declared = h.Absint.declared;
-                  outputs = h.Absint.outputs;
-                  eventual = h.Absint.eventual;
-                })
-              abs.Absint.fields;
+          fields = abs.Absint.fields;
           range_sound = abs.Absint.range_sound;
           transient_states = abs.Absint.transient_states;
           core_states = abs.Absint.core_states;
           narrowing_rounds = abs.Absint.rounds;
           eventually_silent = abs.Absint.eventually_silent;
           props = prop_certs;
-          ranking = ranking_cert;
+          ranking = ranking.Ranking.status;
           cross_checks = crosses;
           verdict;
         }
@@ -227,16 +212,16 @@ let certify_enumerable ~key ~report (e : _ Engine.Enumerable.t) =
           ("core", Printf.sprintf "%d/%d" abs.Absint.core_states states);
           ("transient", string_of_int abs.Absint.transient_states);
           ( "ranking",
-            match ranking_cert with
-            | Certificate.Found atoms ->
+            match ranking.Ranking.status with
+            | Ranking.Found atoms ->
                 "found:"
                 ^ String.concat ","
                     (List.map
                        (fun (a : Ranking.atom) ->
                          a.Ranking.field ^ if a.Ranking.descending then "-" else "+")
                        atoms)
-            | Certificate.Not_found _ -> "not-found"
-            | Certificate.Skipped _ -> "skipped" );
+            | Ranking.Not_found _ -> "not-found"
+            | Ranking.Skipped _ -> "skipped" );
           ( "props",
             Printf.sprintf "%d/%d hold"
               (List.length

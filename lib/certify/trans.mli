@@ -34,5 +34,5 @@ val productive_out : edge -> int * int -> bool
 val productive : edge -> bool
 
 val of_ir : 'a Ir.t -> t
-(** Requires a packed, dead-code-eliminated IR (memoization optional).
-    Never raises on closure violations — see [escapes]. *)
+(** Works on any IR, memoized or not. Never raises on closure
+    violations — see [escapes]. *)

@@ -111,8 +111,9 @@ let auto_init_probe = 4096
    Optimal-silent's counter states, where ~every ordered pair propagates
    a max) makes both the fold probes and the per-event adjacency walks
    quadratic in P, so the engine must bail out to lazy probing while P
-   is still small. Sparse protocols (Silent-n-state's diagonal, the
-   epidemic) never approach it and keep the exact drained oracle. *)
+   is still small. Protocols with few productive pairs (Silent-n-state's
+   diagonal, the epidemic) never approach it and keep the exact drained
+   oracle. *)
 let probe_cell_cap = 8192
 let padj_cap = 1 lsl 16
 

@@ -1,7 +1,7 @@
 (** Protocol IR and optimizing kernel compiler — public facade.
 
     [Ir.t] (= {!Repr.t}) is the protocol intermediate representation,
-    [Ir.Passes] the pass pipeline, [Ir.Kernel] the compiled result. See
+    [Ir.Passes] the memoization pass, [Ir.Kernel] the compiled result. See
     each submodule's interface for the contracts. *)
 
 include Repr

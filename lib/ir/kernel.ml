@@ -14,10 +14,6 @@ let step k rng ci cj = k.compiled.Engine.Protocol.transition rng ci cj
 let exact k = k.ir.Repr.exact = Some true
 
 let of_ir_timed ~t0 (ir : 'a Repr.t) =
-  (match ir.Repr.index_of_code with
-  | Some (Repr.Dense _) -> ()
-  | Some (Repr.Sparse _) | None ->
-      invalid_arg "Kernel.of_ir: IR must be dead-code eliminated first");
   let source = ir.Repr.enumerable.Engine.Enumerable.protocol in
   let m = Repr.size ir in
   (* Precompute per-code observations so the compiled protocol's monitor

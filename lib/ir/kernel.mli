@@ -35,9 +35,9 @@ val compile : ?max_cells:int -> 'a Engine.Enumerable.t -> 'a t
     [max_cells] bounds the memo table (see {!Passes.memoize}). *)
 
 val of_ir : 'a Repr.t -> 'a t
-(** Build a kernel from an already-lowered IR (must be dead-code
-    eliminated; memoization optional). [compile_s] covers only the
-    witness construction. *)
+(** Build a kernel from an IR, memoized or not (an unmemoized IR
+    interprets every step). [compile_s] covers only the witness
+    construction. *)
 
 val encode : 'a t -> 'a -> int
 (** Raises {!Repr.Escape} outside the declared space. *)

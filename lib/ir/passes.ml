@@ -1,54 +1,3 @@
-let pack (ir : 'a Repr.t) =
-  match ir.Repr.code_of_index with
-  | Some _ -> invalid_arg "Passes.pack: IR already packed"
-  | None ->
-      let s = Repr.size ir in
-      let code_of_index = Array.make s 0 in
-      let sparse = Hashtbl.create (2 * s) in
-      for i = 0 to s - 1 do
-        let code = Repr.pack_code ir (Analysis.Statespace.state ir.Repr.space i) in
-        code_of_index.(i) <- code;
-        Hashtbl.replace sparse code i
-      done;
-      Repr.logged
-        {
-          ir with
-          Repr.code_of_index = Some code_of_index;
-          index_of_code = Some (Repr.Sparse sparse);
-        }
-        (Printf.sprintf "pack: %d field(s) -> %d of %d product codes live"
-           (List.length ir.Repr.fields) s ir.Repr.packed_codes)
-
-let eliminate_dead (ir : 'a Repr.t) =
-  match (ir.Repr.code_of_index, ir.Repr.index_of_code) with
-  | None, _ | _, None -> invalid_arg "Passes.eliminate_dead: IR not packed yet"
-  | _, Some (Repr.Dense _) -> invalid_arg "Passes.eliminate_dead: already eliminated"
-  | Some old_codes, Some (Repr.Sparse _) ->
-      let s = Array.length old_codes in
-      (* Renumber live codes densely, preserving ascending packed order. *)
-      let sorted = Array.copy old_codes in
-      Array.sort compare sorted;
-      let rank code =
-        let lo = ref 0 and hi = ref (s - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if sorted.(mid) < code then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      in
-      let code_of_index = Array.map rank old_codes in
-      let dense = Array.make s 0 in
-      Array.iteri (fun i code -> dense.(code) <- i) code_of_index;
-      let dead = ir.Repr.packed_codes - s in
-      Repr.logged
-        {
-          ir with
-          Repr.code_of_index = Some code_of_index;
-          index_of_code = Some (Repr.Dense dense);
-        }
-        (Printf.sprintf "dead-code: eliminated %d of %d codes (live %d)" dead
-           ir.Repr.packed_codes s)
-
 let default_max_cells = 1 lsl 22
 
 (* One probe per ordered pair: run the transition under an empty scripted
@@ -68,49 +17,44 @@ let probe transition a b =
   | exception _ -> `Dynamic
 
 let memoize ?(max_cells = default_max_cells) (ir : 'a Repr.t) =
-  match ir.Repr.index_of_code with
-  | None | Some (Repr.Sparse _) ->
-      invalid_arg "Passes.memoize: IR not dead-code-eliminated yet"
-  | Some (Repr.Dense _) ->
-      let m = Repr.size ir in
-      if m > max_cells / m then
-        Repr.logged ir
-          (Printf.sprintf "memoize: skipped, %d^2 cells exceed budget %d" m max_cells)
-      else begin
-        let p = ir.Repr.enumerable.Engine.Enumerable.protocol in
-        let out_i = Array.make (m * m) (-1) in
-        let out_j = Array.make (m * m) (-1) in
-        let static = ref 0 and dynamic = ref 0 in
-        let exact = ref true in
-        for ci = 0 to m - 1 do
-          let a = Repr.decode ir ci in
-          for cj = 0 to m - 1 do
-            let b = Repr.decode ir cj in
-            match probe p.Engine.Protocol.transition a b with
-            | `Dynamic -> incr dynamic
-            | `Static (a', b') ->
-                let ci' = Repr.encode ir a' and cj' = Repr.encode ir b' in
-                incr static;
-                exact :=
-                  !exact
-                  && p.Engine.Protocol.equal a' (Repr.decode ir ci')
-                  && p.Engine.Protocol.equal b' (Repr.decode ir cj');
-                out_i.((ci * m) + cj) <- ci';
-                out_j.((ci * m) + cj) <- cj'
-          done
-        done;
-        Repr.logged
-          {
-            ir with
-            Repr.table = Some { Repr.out_i; out_j };
-            static_pairs = !static;
-            dynamic_pairs = !dynamic;
-            exact = Some !exact;
-          }
-          (Printf.sprintf "memoize: %d pairs (%d static, %d dynamic), %s" (m * m) !static
-             !dynamic
-             (if !exact then "exact" else "quotient"))
-      end
+  let m = Repr.size ir in
+  if m > max_cells / m then
+    Repr.logged ir
+      (Printf.sprintf "memoize: skipped, %d^2 cells exceed budget %d" m max_cells)
+  else begin
+    let p = ir.Repr.enumerable.Engine.Enumerable.protocol in
+    let out_i = Array.make (m * m) (-1) in
+    let out_j = Array.make (m * m) (-1) in
+    let static = ref 0 and dynamic = ref 0 in
+    let exact = ref true in
+    for ci = 0 to m - 1 do
+      let a = Repr.decode ir ci in
+      for cj = 0 to m - 1 do
+        let b = Repr.decode ir cj in
+        match probe p.Engine.Protocol.transition a b with
+        | `Dynamic -> incr dynamic
+        | `Static (a', b') ->
+            let ci' = Repr.encode ir a' and cj' = Repr.encode ir b' in
+            incr static;
+            exact :=
+              !exact
+              && p.Engine.Protocol.equal a' (Repr.decode ir ci')
+              && p.Engine.Protocol.equal b' (Repr.decode ir cj');
+            out_i.((ci * m) + cj) <- ci';
+            out_j.((ci * m) + cj) <- cj'
+      done
+    done;
+    Repr.logged
+      {
+        ir with
+        Repr.table = Some { Repr.out_i; out_j };
+        static_pairs = !static;
+        dynamic_pairs = !dynamic;
+        exact = Some !exact;
+      }
+      (Printf.sprintf "memoize: %d pairs (%d static, %d dynamic), %s" (m * m) !static
+         !dynamic
+         (if !exact then "exact" else "quotient"))
+  end
 
-let pipeline ?max_cells e =
-  Repr.of_enumerable e |> pack |> eliminate_dead |> memoize ?max_cells
+let pipeline ?max_cells e = Repr.of_enumerable e |> memoize ?max_cells

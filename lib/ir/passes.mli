@@ -1,19 +1,9 @@
-(** The optimizing pass pipeline over {!Repr.t}.
+(** The optimizing pass over {!Repr.t}.
 
-    Passes are applied in order — [pack], [eliminate_dead], [memoize] —
-    and each records a provenance line in the IR's log. [pipeline] is the
-    standard composition used by {!Kernel.compile}. *)
-
-val pack : 'a Repr.t -> 'a Repr.t
-(** Materialize the mixed-radix packing: a code for every declared state
-    and a sparse inverse over the (possibly huge) product space. Raises
-    [Invalid_argument] if already packed. *)
-
-val eliminate_dead : 'a Repr.t -> 'a Repr.t
-(** Dead-code elimination: drop the product-space codes no declared state
-    occupies — by the closure analysis no reachable state can occupy them
-    either — and renumber the survivors densely [0..size-1], preserving
-    ascending code order. Requires a packed, not yet eliminated IR. *)
+    {!Repr.of_enumerable} already packs and densely codes the declared
+    state space, so memoization is the one pass. It records a provenance
+    line in the IR's log. [pipeline] is the composition used by
+    {!Kernel.compile}. *)
 
 val default_max_cells : int
 (** Default memoization budget, [2{^22}] table cells. *)
@@ -25,8 +15,8 @@ val memoize : ?max_cells:int -> 'a Repr.t -> 'a Repr.t
     complete without drawing are {e static} and tabulated; pairs that draw
     (or raise, as randomized transitions do under an empty script) are
     {e dynamic} and left to the interpreter at run time. Also decides the
-    {!Repr.t.exact} flag. Requires a dead-code-eliminated IR; raises
-    {!Repr.Escape} if a static output leaves the declared space. *)
+    {!Repr.t.exact} flag. Raises {!Repr.Escape} if a static output leaves
+    the declared space. *)
 
 val pipeline : ?max_cells:int -> 'a Engine.Enumerable.t -> 'a Repr.t
-(** [of_enumerable |> pack |> eliminate_dead |> memoize]. *)
+(** [Repr.of_enumerable |> memoize]. *)

@@ -1,5 +1,4 @@
 type field = { fname : string; frange : int }
-type lookup = Dense of int array | Sparse of (int, int) Hashtbl.t
 type table = { out_i : int array; out_j : int array }
 
 exception Escape of string
@@ -11,8 +10,8 @@ type 'a t = {
   getters : ('a -> int) list;
   synthesized : string option;
   packed_codes : int;
-  code_of_index : int array option;
-  index_of_code : lookup option;
+  code_of_index : int array;
+  index_of_code : int array;
   table : table option;
   static_pairs : int;
   dynamic_pairs : int;
@@ -26,8 +25,6 @@ let logged t msg = { t with log = msg :: t.log }
 
 let pack_with fields getters st =
   List.fold_left2 (fun acc f get -> (acc * f.frange) + get st) 0 fields getters
-
-let pack_code t st = pack_with t.fields t.getters st
 
 (* Validate the declared fields against the interned space; [Error reason]
    triggers the synthetic-index fallback. *)
@@ -115,6 +112,16 @@ let of_enumerable (e : _ Engine.Enumerable.t) =
           (List.length fields) packed_codes
     | Some reason -> Printf.sprintf "derive: %d states, synthetic index field (%s)" s reason
   in
+  (* Pack every declared state, then renumber the live codes densely in
+     ascending packed order: the junk codes of the product space, which
+     no declared (hence no reachable) state occupies, get no code. *)
+  let packed =
+    Array.init s (fun i -> pack_with fields getters (Analysis.Statespace.state space i))
+  in
+  let index_of_code = Array.init s Fun.id in
+  Array.sort (fun i j -> compare packed.(i) packed.(j)) index_of_code;
+  let code_of_index = Array.make s 0 in
+  Array.iteri (fun code i -> code_of_index.(i) <- code) index_of_code;
   {
     enumerable = e;
     space;
@@ -122,22 +129,24 @@ let of_enumerable (e : _ Engine.Enumerable.t) =
     getters;
     synthesized;
     packed_codes;
-    code_of_index = None;
-    index_of_code = None;
+    code_of_index;
+    index_of_code;
     table = None;
     static_pairs = 0;
     dynamic_pairs = 0;
     exact = None;
-    log = [ derive_note ];
+    log =
+      [
+        Printf.sprintf "dead-code: eliminated %d of %d codes (live %d)" (packed_codes - s)
+          packed_codes s;
+        Printf.sprintf "pack: %d field(s) -> %d of %d product codes live" (List.length fields) s
+          packed_codes;
+        derive_note;
+      ];
   }
 
 let encode_opt t st =
-  match t.code_of_index with
-  | None -> invalid_arg "Ir.encode: IR not packed yet"
-  | Some codes -> (
-      match Analysis.Statespace.index t.space st with
-      | Some i -> Some codes.(i)
-      | None -> None)
+  Option.map (fun i -> t.code_of_index.(i)) (Analysis.Statespace.index t.space st)
 
 let encode t st =
   match encode_opt t st with
@@ -149,15 +158,9 @@ let encode t st =
               t.enumerable.Engine.Enumerable.protocol.Engine.Protocol.pp st))
 
 let decode t code =
-  match t.index_of_code with
-  | None -> invalid_arg "Ir.decode: IR not packed yet"
-  | Some (Dense arr) ->
-      if code < 0 || code >= Array.length arr then invalid_arg "Ir.decode: code out of range"
-      else Analysis.Statespace.state t.space arr.(code)
-  | Some (Sparse tbl) -> (
-      match Hashtbl.find_opt tbl code with
-      | Some i -> Analysis.Statespace.state t.space i
-      | None -> invalid_arg "Ir.decode: dead code")
+  if code < 0 || code >= Array.length t.index_of_code then
+    invalid_arg "Ir.decode: code out of range"
+  else Analysis.Statespace.state t.space t.index_of_code.(code)
 
 let field_names t = List.map (fun f -> f.fname) t.fields
 
@@ -204,11 +207,7 @@ let pp fmt t =
   | None -> add "  fields     : %d declared" (List.length t.fields)
   | Some reason -> add "  fields     : synthetic (%s)" reason);
   List.iter (fun f -> add "    %s in 0..%d" f.fname (f.frange - 1)) t.fields;
-  (match t.index_of_code with
-  | None -> add "  code space : packed %d (not materialized)" t.packed_codes
-  | Some (Sparse _) -> add "  code space : packed %d, live %d (sparse)" t.packed_codes s
-  | Some (Dense _) ->
-      add "  code space : packed %d, live %d, dead %d" t.packed_codes s (t.packed_codes - s));
+  add "  code space : packed %d, live %d, dead %d" t.packed_codes s (t.packed_codes - s);
   (match t.table with
   | None -> add "  transition : not memoized"
   | Some _ ->
@@ -219,13 +218,12 @@ let pp fmt t =
         | None -> "unknown"));
   add "  passes     :";
   List.iter (fun line -> add "    %s" line) (List.rev t.log);
-  (match t.index_of_code with
-  | Some (Dense _) when s <= 64 ->
-      add "  codes      :";
-      for c = 0 to s - 1 do
-        add "    %2d = %s" c (Format.asprintf "%a" p.Engine.Protocol.pp (decode t c))
-      done
-  | Some _ | None -> ());
+  if s <= 64 then begin
+    add "  codes      :";
+    for c = 0 to s - 1 do
+      add "    %2d = %s" c (Format.asprintf "%a" p.Engine.Protocol.pp (decode t c))
+    done
+  end;
   add "}";
   Format.fprintf fmt "@[<v>%a@]"
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut Format.pp_print_string)

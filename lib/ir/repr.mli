@@ -3,29 +3,25 @@
     An ['a Repr.t] (surfaced as [Ir.t]) describes a protocol's finite
     state space as a vector of bounded integer {e fields} together with
     its transition relation, derived from an {!Engine.Enumerable}
-    descriptor. It is the unit of work of the pass pipeline ({!Passes}):
+    descriptor. Derivation ({!of_enumerable}) already assigns the codes:
 
-    - {b pack} assigns every declared state a single int code by
-      mixed-radix packing of its field values;
-    - {b dead-code elimination} removes the junk codes of the packed
-      product space (field combinations no declared — hence, by the
-      closure analysis, no reachable — state occupies), renumbering the
-      survivors densely, reusing {!Analysis.Statespace} as the ground
-      truth for liveness;
-    - {b memoize} tabulates the transition over all code pairs for small
-      state spaces.
+    - it {b packs} every declared state into a single int by mixed-radix
+      packing of its field values;
+    - it then drops the junk codes of the packed product space (field
+      combinations no declared — hence, by the closure analysis, no
+      reachable — state occupies) and renumbers the live codes densely
+      [0..size-1] in ascending packed order, reusing
+      {!Analysis.Statespace} as the ground truth for liveness.
 
-    The record is deliberately {e transparent}: passes are plain functions
-    that pattern-match and rebuild it, and tests can assert on any
-    intermediate stage. Mutating the arrays voids the warranty. *)
+    The one optimizing pass, {!Passes.memoize}, tabulates the transition
+    over all code pairs for small state spaces.
+
+    The record is deliberately {e transparent}: the pass is a plain
+    function that pattern-matches and rebuilds it, and tests can assert
+    on any field. Mutating the arrays voids the warranty. *)
 
 type field = { fname : string; frange : int }
 (** A field declaration as the IR sees it: values in [0, frange). *)
-
-type lookup = Dense of int array | Sparse of (int, int) Hashtbl.t
-(** Code -> declared-state-index map. [Sparse] after packing (the product
-    space may be astronomically larger than the declared space); [Dense]
-    after dead-code elimination (codes are exactly [0..size-1]). *)
 
 type table = { out_i : int array; out_j : int array }
 (** Memoized transition: cell [ci * m + cj] holds the output codes, or
@@ -44,8 +40,8 @@ type 'a t = {
       (** [Some reason] when the declared fields were unusable (or absent)
           and a single declared-state-index field was synthesized *)
   packed_codes : int;  (** product of field ranges *)
-  code_of_index : int array option;  (** set by the pack pass *)
-  index_of_code : lookup option;  (** set by pack, densified by DSE *)
+  code_of_index : int array;  (** declared-state index -> live code *)
+  index_of_code : int array;  (** live code -> declared-state index *)
   table : table option;  (** set by the memoize pass *)
   static_pairs : int;
   dynamic_pairs : int;
@@ -66,35 +62,33 @@ val of_enumerable : 'a Engine.Enumerable.t -> 'a t
     vector injective over the declared space — and replaced by a synthetic
     state-index field (with the reason logged and recorded in
     [synthesized]) if anything fails, so derivation itself never raises
-    for a descriptor {!Analysis.Statespace} accepts. *)
+    for a descriptor {!Analysis.Statespace} accepts. The result is packed
+    and densely coded, its log records the [derive], [pack] and
+    [dead-code] steps, and it is not memoized. *)
 
 val size : 'a t -> int
-(** Number of declared states (= live codes after DSE). *)
-
-val name : 'a t -> string
+(** Number of declared states (= live codes). *)
 
 val encode_opt : 'a t -> 'a -> int option
 (** Code of a state ([Engine.Enumerable] normalization applied), [None]
-    when outside the declared space. Requires a packed IR. *)
+    when outside the declared space. *)
 
 val encode : 'a t -> 'a -> int
 (** Like {!encode_opt} but raises {!Escape} with a diagnostic. *)
 
 val decode : 'a t -> int -> 'a
-(** Declared state of a live code. *)
+(** Declared state of a live code. Raises [Invalid_argument] on a code
+    out of range. *)
 
 val logged : 'a t -> string -> 'a t
 (** Append a provenance line. *)
-
-val pack_code : 'a t -> 'a -> int
-(** Mixed-radix code of a state's field vector (no liveness check). *)
 
 val field_names : 'a t -> string list
 (** Field names in packing order (a single synthetic ["state-index"] when
     [synthesized] is set). *)
 
 val field_vec : 'a t -> int -> int array
-(** Field values of a live code, in packing order. Requires a packed IR. *)
+(** Field values of a live code, in packing order. *)
 
 val table_lookup : 'a t -> int -> int -> (int * int) option
 (** Memoized output codes of the ordered pair [(ci, cj)], [None] when the

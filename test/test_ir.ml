@@ -13,10 +13,10 @@
      — and snapshots agree modulo normalize; the count engine interns
      different representatives, so only exact kernels are compared there.
 
-   Per-pass properties: pack/unpack round-trips over the whole declared
-   space, dead-code elimination never removes a code any one-step
-   reachable state needs, the memo table agrees pointwise with direct
-   interpretation, and Ir.pp dumps match the golden files. *)
+   Per-stage properties: pack/unpack round-trips over the whole declared
+   space, derivation's dead-code elimination never removes a code any
+   one-step reachable state needs, the memo table agrees pointwise with
+   direct interpretation, and Ir.pp dumps match the golden files. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -65,7 +65,7 @@ let test_roundtrip_all_entries () =
 let test_dse_keeps_reachable () =
   List.iter
     (fun (key, Analysis.Registry.Any e) ->
-      let ir = Ir.of_enumerable e |> Ir.Passes.pack |> Ir.Passes.eliminate_dead in
+      let ir = Ir.of_enumerable e in
       let p = e.Engine.Enumerable.protocol in
       let states = Array.of_list e.Engine.Enumerable.states in
       Array.iter
@@ -98,7 +98,7 @@ let test_memo_matches_direct () =
       | None -> () (* memoization skipped: nothing to compare *)
       | Some { Ir.out_i; out_j = _ } ->
           let plain =
-            Ir.Kernel.of_ir (Ir.of_enumerable e |> Ir.Passes.pack |> Ir.Passes.eliminate_dead)
+            Ir.Kernel.of_ir (Ir.of_enumerable e)
           in
           let memo = Ir.Kernel.of_ir ir in
           let m = Ir.size ir in
@@ -359,9 +359,9 @@ let test_synthetic_fallback () =
   check_bool "fallback kernel matches interpreter" true
     (runner_outcome ~exec:interp ~n = runner_outcome ~exec:compiled ~n)
 
-(* the synthetic index composes with the rest of the pipeline: DSE still
-   runs (dense codes, no dead states) and memoization still builds the
-   full table over synthesized codes *)
+(* the synthetic index composes with the rest of the pipeline: its codes
+   are dense (no dead states) and memoization still builds the full table
+   over synthesized codes *)
 let test_synthetic_fallback_composes () =
   let n = 4 in
   let base = Core.Silent_n_state.enumerable ~n in
@@ -374,7 +374,6 @@ let test_synthetic_fallback_composes () =
   in
   let ir = Ir.Passes.pipeline broken in
   check_int "synthetic packed space is dense" n ir.Ir.packed_codes;
-  check_bool "DSE ran on the synthesized IR" true (ir.Ir.index_of_code <> None);
   check_bool "memo table built over synthesized codes" true (ir.Ir.table <> None);
   check_int "every ordered pair memoized static" (n * n) ir.Ir.static_pairs;
   (* memoized outputs stay inside the synthesized code space *)
