@@ -287,6 +287,9 @@ let main protocol n h scenario seed verbose topology engine kernel trials jobs e
   in
   if protocol = "loose" then begin
     let unsupported what = usage (what ^ " not supported for the loose protocol") in
+    if n < 2 then usage (Printf.sprintf "n must be >= 2 (got %d)" n);
+    if scenario <> "uniform" then unsupported (Printf.sprintf "scenario '%s' is" scenario);
+    if topology <> "complete" then unsupported "--topology is";
     if kernel = Fleet.Job.Compiled then unsupported "--kernel compiled is";
     if trials > 1 then unsupported "--trials is";
     if engine = Engine.Exec.Count then unsupported "--engine count is";

@@ -65,13 +65,15 @@ let start sched ~rng ~n =
               (* Exponential inter-arrivals in parallel time, mapped to the
                  interaction clock by ceiling — arrivals are at least one
                  interaction apart from time 0 but may collide with each
-                 other, which superposition permits. *)
+                 other, which superposition permits. An arrival past the
+                 last representable interaction ends the stream. *)
               let t = ref 0.0 in
               let nf = float_of_int n in
               fun () ->
                 let u = Prng.float child in
                 t := !t +. (-.log (1.0 -. u) /. rate);
-                Some (max 1 (int_of_float (Float.ceil (!t *. nf))))
+                let at = Float.ceil (!t *. nf) in
+                if at < Float.of_int max_int then Some (max 1 (int_of_float at)) else None
           | Compose _ -> assert false
         in
         let s = { next = None; advance } in

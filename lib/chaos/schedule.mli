@@ -56,7 +56,8 @@ val start : t -> rng:Prng.t -> n:int -> stream
 
 val peek : stream -> int option
 (** Interaction index of the earliest pending arrival; [None] when the
-    schedule is exhausted (only finite schedules exhaust). Arrival indices
+    schedule is exhausted (finite schedules exhaust, and a Poisson
+    primitive ends at its first arrival past [max_int]). Arrival indices
     are non-decreasing; distinct primitives may collide. *)
 
 val pop : stream -> int option

@@ -20,8 +20,10 @@ let ceil_log2 n =
 let default_confirm ~n = max (8 * n) (4 * n * max 1 (ceil_log2 n))
 
 let default_horizon ~n ~expected_time =
-  let budget = int_of_float (20.0 *. expected_time *. float_of_int n) in
-  max (1000 * n) (budget + default_confirm ~n)
+  let budget = 20.0 *. expected_time *. float_of_int n in
+  let confirm = default_confirm ~n in
+  if budget >= Float.of_int max_int || int_of_float budget > max_int - confirm then max_int
+  else max (1000 * n) (int_of_float budget + confirm)
 
 let run_to_stability (type a) ?(silence_oracle = true) ~task ~max_interactions
     ~confirm_interactions ((module E : Exec.INSTANCE with type state = a) as exec : a Exec.t)

@@ -53,8 +53,8 @@ val default_confirm : n:int -> int
 
 val default_horizon : n:int -> expected_time:float -> int
 (** Interaction budget: [20 × expected_time × n + confirm], clamped to at
-    least [1000·n]; generous relative to the predicted scaling so that WHP
-    tails fit. *)
+    least [1000·n] and saturating at [max_int]; generous relative to the
+    predicted scaling so that WHP tails fit. *)
 
 val run_to_stability :
   ?silence_oracle:bool ->

@@ -31,6 +31,11 @@ let id_ok id =
          || c = '_' || c = '-' || c = '.')
        id
 
+(* A span of parallel time is usable when it is positive and its
+   interaction count ([to_interactions] below) fits an int; NaN and the
+   infinities fail both tests. *)
+let time_ok ~n x = x > 0.0 && Float.ceil (x *. float_of_int n) < Float.of_int max_int
+
 (* All validation lives here, at admission time (ssr_sim's command line
    goes through it too), so a worker never meets a spec it cannot run:
    the protocol, scenario, engine and kernel are checked against [Run]'s
@@ -47,10 +52,10 @@ let validate t =
   else if t.retries < 0 then fail "retries must be >= 0 (got %d)" t.retries
   else if (match t.deadline with Some d -> d < 1 | None -> false) then
     fail "deadline must be >= 1 interaction"
-  else if (match t.horizon with Some x -> x <= 0.0 | None -> false) then
-    fail "horizon must be > 0 time units"
-  else if (match t.sla with Some x -> x <= 0.0 | None -> false) then
-    fail "sla must be > 0 time units"
+  else if (match t.horizon with Some x -> not (time_ok ~n:t.n x) | None -> false) then
+    fail "horizon must be finite, > 0 and below max_int / n time units"
+  else if (match t.sla with Some x -> not (time_ok ~n:t.n x) | None -> false) then
+    fail "sla must be finite, > 0 and below max_int / n time units"
   else if (t.horizon <> None || t.sla <> None) && t.chaos = None then
     fail "horizon/sla require a chaos spec"
   else

@@ -106,6 +106,16 @@ ssr_sim)
   # no pool and never reads it
   REPRO_JOBS=zero status -p optimal -n 8 --trials 2
   REPRO_JOBS=zero status -p optimal -n 8
+  # time spans whose interaction count is not an int are usage errors; a
+  # Poisson arrival past the last interaction never fires
+  status -n 8 --chaos burst:5,corrupt:0.1 --horizon nan
+  status -n 8 --chaos burst:5,corrupt:0.1 --horizon 1e308
+  status -n 8 --chaos burst:5,corrupt:0.1 --sla nan
+  plain -n 8 --chaos poisson:1e-18,corrupt:0.1
+  # the loose protocol checks what it cannot honour
+  status -p loose -n 1
+  status -p loose -n 8 -s bogus
+  status -p loose -n 8 --topology ring
   ;;
 fleet)
   cat > "$tmp/jobs.jsonl" <<'JOBS'

@@ -85,6 +85,18 @@ let test_schedule_constructors_validate () =
   raises "poisson rate zero" (fun () -> Chaos.Schedule.poisson ~rate:0.0);
   raises "poisson rate nan" (fun () -> Chaos.Schedule.poisson ~rate:Float.nan)
 
+(* At rate 1e-18 and n = 8 most first arrivals lie past the last
+   representable interaction; the conversion used to wrap them to
+   interaction 1, where the soak fired them forever. *)
+let test_poisson_unrepresentable_arrivals () =
+  for seed = 1 to 20 do
+    let stream =
+      Chaos.Schedule.start (Chaos.Schedule.poisson ~rate:1e-18) ~rng:(Prng.create ~seed) ~n:8
+    in
+    check_bool (Printf.sprintf "seed %d: first arrival is not interaction 1" seed) true
+      (Chaos.Schedule.peek stream <> Some 1)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Spec mini-parser.                                                  *)
 
@@ -355,6 +367,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_poisson_monotone_in_rate;
     QCheck_alcotest.to_alcotest qcheck_compose_conserves_bursts;
     Alcotest.test_case "periodic arrivals" `Quick test_periodic_arrivals;
+    Alcotest.test_case "poisson: unrepresentable arrivals end the stream" `Quick
+      test_poisson_unrepresentable_arrivals;
     Alcotest.test_case "schedule constructors validate" `Quick
       test_schedule_constructors_validate;
     Alcotest.test_case "spec round trips" `Quick test_spec_round_trips;

@@ -251,7 +251,13 @@ let test_default_confirm_monotone () =
   check_bool "confirm grows with n" true
     (Engine.Runner.default_confirm ~n:64 > Engine.Runner.default_confirm ~n:8);
   check_bool "horizon covers expectation" true
-    (Engine.Runner.default_horizon ~n:16 ~expected_time:100.0 >= 16 * 100 * 20)
+    (Engine.Runner.default_horizon ~n:16 ~expected_time:100.0 >= 16 * 100 * 20);
+  (* silent's expected time n^2 puts 20·n^3 past max_int from n = 614,000:
+     the budget saturates instead of wrapping *)
+  let horizon n = Engine.Runner.default_horizon ~n ~expected_time:(float_of_int (n * n)) in
+  check_bool "horizon does not decrease past overflow" true
+    (horizon 614_000 >= horizon 613_000);
+  check_int "horizon saturates" max_int (horizon 614_000)
 
 (* Silence tests *)
 

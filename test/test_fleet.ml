@@ -100,6 +100,16 @@ let test_job_validation () =
   | Error msg -> check_bool "unknown scenario lists the catalogue" true (contains ~sub:"mid-reset" msg)
   | Ok _ -> ());
   rejects "horizon without chaos" {|{"id":"a","n":8,"horizon":10.0}|};
+  (* a time span must be finite and its interaction count must fit an int *)
+  List.iter
+    (fun (label, x) ->
+      let made ?horizon ?sla () =
+        Fleet.Job.make ~id:"a" ~protocol:"silent" ~n:8 ~seed:1 ~chaos:"burst:5,corrupt:0.1"
+          ?horizon ?sla ()
+      in
+      check_bool ("horizon " ^ label ^ " rejected") true (Result.is_error (made ~horizon:x ()));
+      check_bool ("sla " ^ label ^ " rejected") true (Result.is_error (made ~sla:x ())))
+    [ ("nan", Float.nan); ("inf", Float.infinity); ("1e308", 1e308); ("1e18 at n = 8", 1e18) ];
   rejects "not json" {|{"id":|}
 
 (* {2 Admission: bounded, fair} *)
