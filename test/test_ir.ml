@@ -97,9 +97,7 @@ let test_memo_matches_direct () =
       match ir.Ir.table with
       | None -> () (* memoization skipped: nothing to compare *)
       | Some { Ir.out_i; out_j = _ } ->
-          let plain =
-            Ir.Kernel.of_ir (Ir.of_enumerable e)
-          in
+          let plain = Ir.Kernel.of_ir (Ir.of_enumerable e) in
           let memo = Ir.Kernel.of_ir ir in
           let m = Ir.size ir in
           for ci = 0 to m - 1 do
