@@ -5,15 +5,19 @@
 # events files themselves are not committed: ring runs write ~6 MB.
 #
 # The experiments modes pin the quick-mode reports instead, minus the
-# per-experiment wall-clock lines. The analyze mode pins the IR dump of
-# every catalogue entry at n = 3 and 4, the certifying report and the
-# digest of each certificate it writes.
+# per-experiment wall-clock lines; the engines-closure mode pins the
+# count columns of the eager/lazy closure table. The analyze mode pins
+# the IR dump of every catalogue entry at n = 3 and 4, the certifying
+# report and the digest of each certificate it writes. The examples
+# mode pins the stdout of each example binary it is given.
 #
 #   pin.sh ssr_sim          PATH/ssr_sim.exe          > ssr_sim.out
 #   pin.sh fleet            PATH/fleet.exe            > fleet.out
 #   pin.sh experiments      PATH/experiments_main.exe > experiments.out
 #   pin.sh experiments-slow PATH/experiments_main.exe > experiments_slow.out
+#   pin.sh engines-closure  PATH/experiments_main.exe > engines_closure.out
 #   pin.sh analyze          PATH/analyze.exe          > analyze.out
+#   pin.sh examples         PATH/EXAMPLE.exe...       > examples.out
 set -u
 mode=$1
 exe=$2
@@ -88,6 +92,7 @@ ssr_sim)
   # verbose timeline, randomized protocol; loose election
   ssr -p sublinear -n 16 -H 4 -s name-collision -v
   plain -p loose -n 32
+  plain -p loose -n 32 -v
   # the trial wall-time histogram: one entry per trial
   walls -p optimal -n 16 --trials 4 --seed 9 --jobs 2
   walls -p optimal -n 16 --seed 9
@@ -136,6 +141,21 @@ experiments)
   ;;
 experiments-slow)
   report table1 chaos
+  ;;
+engines-closure)
+  # the closure table (header to the blank line after it), cut before
+  # its two wall-clock columns "wall s" and "events/s"
+  "$exe" -e engines 2> "$tmp/err" \
+    | awk '/^scenario / { cut = index($0, "wall s") } cut && /^$/ { exit }
+           cut { line = substr($0, 1, cut - 1); sub(/ +$/, "", line); print line }'
+  echo "exit ${PIPESTATUS[0]}"
+  ;;
+examples)
+  for ex in "${@:2}"; do
+    echo "== $(basename "$ex")"
+    "$ex" 2> "$tmp/err"
+    echo "exit $?"
+  done
   ;;
 analyze)
   for key in $("$exe" --list | cut -d' ' -f1); do
