@@ -242,25 +242,18 @@ let run_loose ~n ~seed ~verbose =
     Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init:(Core.Loose.uniform rng ~n ~t_max)
       ~rng ()
   in
-  let interactions () = Engine.Exec.interactions exec in
   let correct () = Engine.Exec.leader_correct exec in
-  let step () = ignore (Engine.Exec.advance exec ~until:max_int : bool) in
-  let horizon = 100 * t_max * n in
-  while (not (correct ())) && interactions () < horizon do
-    step ()
-  done;
+  Engine.Runner.run_while exec ~max_interactions:(100 * t_max * n) (fun () -> not (correct ()));
   Printf.printf "protocol            : %s\n" protocol.Engine.Protocol.name;
   Printf.printf "population          : %d (rules only use t_max=%d)\n" n t_max;
   Printf.printf "unique leader       : %b after %.2f time units\n" (correct ())
     (Engine.Exec.parallel_time exec);
   if verbose then begin
-    let start = interactions () in
-    while correct () && interactions () - start < 50_000 * n do
-      step ()
-    done;
+    let start = Engine.Exec.interactions exec in
+    Engine.Runner.run_while exec ~max_interactions:(start + (50_000 * n)) correct;
     Printf.printf "holding time        : %s%.0f time units (%s)\n"
       (if correct () then "> " else "")
-      (float_of_int (interactions () - start) /. float_of_int n)
+      (float_of_int (Engine.Exec.interactions exec - start) /. float_of_int n)
       (if correct () then "budget exhausted" else "loose stabilization")
   end;
   if correct () || verbose then 0 else 1
@@ -382,4 +375,6 @@ let cmd =
           "Soak length in parallel time units (chaos mode only; default: 8 confirmation \
            windows).")
 
-let () = exit (Cmd.eval' cmd)
+(* Every usage error exits 2, cmdliner's own parse errors (an unknown
+   option, a malformed number) included. *)
+let () = exit (match Cmd.eval' cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

@@ -67,14 +67,13 @@ let () =
     let ranking = Core.Scenarios.optimal_uniform rng ~params ~n in
     Array.init n (fun i -> { ranking = ranking.(i); battery = batteries.(i); subtree_min = batteries.(i) })
   in
-  let sim = Engine.Sim.make ~protocol ~init ~rng in
-  let exec = Engine.Exec.of_sim sim in
+  let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
   let stabilize label =
-    let start = Engine.Sim.parallel_time sim in
+    let start = Engine.Exec.parallel_time exec in
     let o =
       Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking
         ~max_interactions:
-          (Engine.Sim.interactions sim
+          (Engine.Exec.interactions exec
           + Engine.Runner.default_horizon ~n ~expected_time:(float_of_int (20 * n)))
         ~confirm_interactions:(Engine.Runner.default_confirm ~n)
         exec
@@ -82,11 +81,16 @@ let () =
     Printf.printf "%s: ranked fleet after %.1f time units\n" label
       (o.Engine.Runner.convergence_time -. start)
   in
-  stabilize "deployment";
   (* Let the aggregation overlay flow for a while (tree depth ~5 hops). *)
-  Engine.Sim.run sim (40 * n * 5);
+  let fly () =
+    Engine.Runner.run_while exec
+      ~max_interactions:(Engine.Exec.interactions exec + (40 * n * 5))
+      (fun () -> true)
+  in
+  stabilize "deployment";
+  fly ();
   let leader_view () =
-    let snapshot = Engine.Sim.snapshot sim in
+    let snapshot = Engine.Exec.snapshot exec in
     let leader = List.hd (Core.Leader_election.leader_indices protocol snapshot) in
     (leader, snapshot.(leader).subtree_min)
   in
@@ -96,12 +100,12 @@ let () =
     leader seen fleet_min;
   (* Crash the leader: it reboots with blank, starving memory, which the
      fleet can only discover through the protocol itself. *)
-  Engine.Sim.inject sim leader
-    { (Engine.Sim.state sim leader) with
+  Engine.Exec.inject exec leader
+    { (Engine.Exec.state exec leader) with
       ranking = Core.Optimal_silent.unsettled ~errorcount:0 };
   Printf.printf "\n!! leader drone %d suffered a memory fault\n" leader;
   stabilize "recovery";
-  Engine.Sim.run sim (40 * n * 5);
+  fly ();
   let leader', seen' = leader_view () in
   Printf.printf "new leader (drone %d) reports fleet minimum battery %d%% (ground truth %d%%)\n"
     leader' seen' fleet_min

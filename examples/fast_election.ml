@@ -17,22 +17,20 @@ let () =
   let protocol = Core.Sublinear.protocol ~params ~n ~h () in
   let rng = Prng.create ~seed:11 in
   let init = Core.Scenarios.sublinear_name_collision rng ~params ~n in
-  let sim = Engine.Sim.make ~protocol ~init ~rng in
+  let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
   Printf.printf "n=%d agents, H=%d, T_H=%d, D_max=%d — hidden name collision planted\n\n" n h
     params.Core.Params.t_h params.Core.Params.d_max;
   let phase () =
-    let resetting = ref 0 and collecting = ref 0 in
-    Engine.Sim.fold_states sim ~init:() ~f:(fun () s ->
-        match s with
-        | Core.Reset.Resetting _ -> incr resetting
-        | Core.Reset.Computing _ -> incr collecting);
+    let resetting = ref 0 in
+    Array.iter
+      (function Core.Reset.Resetting _ -> incr resetting | Core.Reset.Computing _ -> ())
+      (Engine.Exec.snapshot exec);
     if !resetting = 0 then
-      if Engine.Sim.ranking_correct sim then "RANKED" else "collecting"
+      if Engine.Exec.ranking_correct exec then "RANKED" else "collecting"
     else Printf.sprintf "resetting (%d/%d agents)" !resetting n
   in
   (* Timeline via the Instrument event layer: a collector subscribed to
      the executor samples the phase description every n/2 interactions. *)
-  let exec = Engine.Exec.of_sim sim in
   let collector = Engine.Instrument.collector ~interval:(n / 2) () in
   Engine.Exec.on exec (Engine.Instrument.sampled collector phase);
   let outcome =
@@ -55,6 +53,6 @@ let () =
   Printf.printf "\nstabilized in %.1f parallel time units (%d interactions, %d re-checks failed)\n"
     outcome.Engine.Runner.convergence_time outcome.Engine.Runner.total_interactions
     outcome.Engine.Runner.violations;
-  let leader = Core.Leader_election.leader_indices protocol (Engine.Sim.snapshot sim) in
+  let leader = Core.Leader_election.leader_indices protocol (Engine.Exec.snapshot exec) in
   Printf.printf "leader: agent %s (the lexicographically smallest fresh name)\n"
     (String.concat "," (List.map string_of_int leader))

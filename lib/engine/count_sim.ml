@@ -747,13 +747,6 @@ let hit t =
   end
   else draw_unknown_and_resolve t a b
 
-let step_event t =
-  if not (is_silent t) then begin
-    let skip = sample_skip t in
-    t.interactions <- t.interactions + skip + 1;
-    hit t
-  end
-
 let advance t ~until =
   if is_silent t then begin
     (* Every remaining interaction is null: fast-forward the clock. *)
@@ -855,52 +848,3 @@ let corrupt t ~rng ~fraction gen =
     replace t ~old_cell ~new_state:(gen rng) ~cls_id:a
   done;
   count
-
-let distinct_states t =
-  if t.nc = 1 then begin
-    let acc = ref [] in
-    for i = t.d - 1 downto 0 do
-      if t.counts.(i) > 0 then acc := (t.states.(i), t.counts.(i)) :: !acc
-    done;
-    !acc
-  end
-  else begin
-    (* cells of one state may exist in several classes: merge by state *)
-    let equal = t.protocol.Protocol.equal in
-    let acc = ref [] in
-    for i = t.d - 1 downto 0 do
-      if t.counts.(i) > 0 then begin
-        let rec bump = function
-          | [] -> [ (t.states.(i), t.counts.(i)) ]
-          | (s, c) :: rest ->
-              if equal s t.states.(i) then (s, c + t.counts.(i)) :: rest
-              else (s, c) :: bump rest
-        in
-        acc := bump !acc
-      end
-    done;
-    !acc
-  end
-
-type outcome = {
-  silent : bool;
-  correct : bool;
-  stabilization_time : float;
-  events : int;
-  interactions : int;
-}
-
-let run_to_silence ?max_events t =
-  let max_events = match max_events with Some m -> m | None -> 100 * t.n * t.n in
-  let budget = ref max_events in
-  while (not (is_silent t)) && !budget > 0 do
-    step_event t;
-    decr budget
-  done;
-  {
-    silent = is_silent t;
-    correct = ranking_correct t;
-    stabilization_time = parallel_time t;
-    events = t.events;
-    interactions = t.interactions;
-  }

@@ -155,14 +155,6 @@ val null_skipped : 'a t -> int
 (** [interactions - events]: null interactions skipped (or fast-forwarded
     over) rather than simulated. *)
 
-val step_event : 'a t -> unit
-(** Advance past the (geometrically many) known-null interactions to the
-    next possibly-interesting one and execute it. In drained mode that
-    interaction is always a productive event; in lazy mode it may turn
-    out to be a null pair probed for the first time, in which case the
-    interaction is consumed but no event fires (and the skip gets
-    stronger). No-op on a provably silent configuration. *)
-
 val advance : 'a t -> until:int -> bool
 (** [advance t ~until] moves the interaction clock forward by at most one
     possibly-interesting interaction, never past interaction [until].
@@ -175,7 +167,8 @@ val advance : 'a t -> until:int -> bool
       exact in law, because the geometric skip is memoryless. Returns
       [true].
 
-    This is the primitive {!Runner} drives: calling [advance] in a loop
+    This is the primitive {!Runner} drives (through {!Exec.of_count_sim}),
+    in [run_to_stability] and in [run_while]: calling [advance] in a loop
     with a fixed [until] eventually parks the clock at [until], which is
     how a confirmation window elapses over a silent suffix. *)
 
@@ -202,24 +195,3 @@ val corrupt : 'a t -> rng:Prng.t -> fraction:float -> (Prng.t -> 'a) -> int
     Returns the number of corrupted agents. Same contract as
     {!Sim.corrupt}, including [Invalid_argument] on a [fraction] outside
     [0,1]. *)
-
-val distinct_states : 'a t -> ('a * int) list
-(** Present states with their multiplicities (cells of one state in
-    several degree classes are merged). *)
-
-type outcome = {
-  silent : bool;  (** reached a provably silent configuration *)
-  correct : bool;  (** the silent configuration ranks 1..n *)
-  stabilization_time : float;
-      (** parallel time of the last executed interaction — for a silent
-          protocol on the drained engine this is the exact stabilization
-          time *)
-  events : int;
-  interactions : int;
-}
-
-val run_to_silence : ?max_events:int -> 'a t -> outcome
-(** Execute engine steps until provable silence (or until [max_events]
-    steps, default 100·n²; in lazy mode a step may be a first-probe null
-    rather than a productive event, and a genuinely silent configuration
-    that cannot be proved silent runs the budget out). *)

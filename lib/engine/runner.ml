@@ -13,6 +13,12 @@ let is_correct ~task exec =
   | Ranking -> Exec.ranking_correct exec
   | Leader -> Exec.leader_correct exec
 
+let run_while (type a) ((module E : Exec.INSTANCE with type state = a) : a Exec.t)
+    ~max_interactions continue =
+  while E.interactions () < max_interactions && continue () && E.advance ~until:max_interactions do
+    ()
+  done
+
 let ceil_log2 n =
   let rec loop p k = if p >= n then k else loop (p * 2) (k + 1) in
   loop 1 0

@@ -68,4 +68,13 @@ val run_to_stability :
     silence ([silence_oracle], default [true]), or [max_interactions]
     total elapse. *)
 
+val run_while : 'a Exec.t -> max_interactions:int -> (unit -> bool) -> unit
+(** [run_while exec ~max_interactions continue] advances the executor
+    with {!Exec.advance} [~until:max_interactions] while the clock is
+    below [max_interactions] and [continue ()] holds, and returns early
+    once the executor proves silence. [continue] is read before each
+    advance, and only while the clock is below the bound. The count
+    engine's clock never passes the bound. Every bounded run that is not
+    a run to stability goes through this. *)
+
 val is_correct : task:task -> 'a Exec.t -> bool

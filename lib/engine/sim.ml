@@ -49,11 +49,6 @@ let step t =
   t.interactions <- t.interactions + 1;
   t.last_pair <- Some (i, j)
 
-let run t k =
-  for _ = 1 to k do
-    step t
-  done
-
 let interactions t = t.interactions
 
 let parallel_time t = float_of_int t.interactions /. float_of_int (n t)
@@ -90,7 +85,5 @@ let corrupt t ~rng ~fraction gen =
   count
 
 let snapshot t = Array.copy t.states
-
-let fold_states t ~init ~f = Array.fold_left f init t.states
 
 let last_pair t = t.last_pair

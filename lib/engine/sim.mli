@@ -2,10 +2,11 @@
 
     [Sim] implements the paper's probabilistic scheduler: at every step a
     uniformly random ordered pair of distinct agents interacts. It exposes
-    single-step control so that callers can interleave simulation with
-    measurement, tracing or transient-fault injection (the self-stabilization
-    setting: an adversary may corrupt states at any time; see
-    [examples/sensor_recovery.ml]).
+    single-step control; runs outside the engine library drive it through
+    {!Exec.of_sim} (or {!Exec.make}) and {!Runner}, which interleave
+    stepping with measurement, tracing or transient-fault injection (the
+    self-stabilization setting: an adversary may corrupt states at any
+    time; see [examples/sensor_recovery.ml]).
 
     Parallel time is the number of interactions divided by [n]. *)
 
@@ -27,9 +28,6 @@ val n : 'a t -> int
 
 val step : 'a t -> unit
 (** Execute one interaction. *)
-
-val run : 'a t -> int -> unit
-(** [run sim k] executes [k] interactions. *)
 
 val interactions : 'a t -> int
 (** Interactions executed so far. *)
@@ -67,8 +65,6 @@ val corrupt : 'a t -> rng:Prng.t -> fraction:float -> (Prng.t -> 'a) -> int
 
 val snapshot : 'a t -> 'a array
 (** Copy of the current configuration. *)
-
-val fold_states : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 
 val last_pair : 'a t -> (int * int) option
 (** The (initiator, responder) indices of the most recent interaction. *)

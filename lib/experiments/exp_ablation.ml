@@ -29,9 +29,9 @@ let measure_optimal ~n ~params ~jobs ~trials ~seed =
           with_trigger_counter ~params (Core.Optimal_silent.protocol ~params ~n ()) counter
         in
         let init = Core.Scenarios.optimal_uniform rng ~params ~n in
-        let sim = Engine.Sim.make ~protocol ~init ~rng in
         let o =
-          Fleet.Run.stabilize ~expected_time:(float_of_int (40 * n)) (Engine.Exec.of_sim sim)
+          Fleet.Run.stabilize ~expected_time:(float_of_int (40 * n))
+            (Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng ())
         in
         if o.Engine.Runner.converged then
           Some (o.Engine.Runner.convergence_time, float_of_int !counter)
@@ -67,28 +67,17 @@ let optimal_row label (times, triggers, failures) trials =
 
 let optimal_header = [ "value"; "trials"; "mean time"; "p95"; "trigger interactions"; "fail" ]
 
-(* Detection latency of a hidden name collision (same notion as the
-   tradeoff experiment). *)
+(* Detection latency of a hidden name collision (the tradeoff
+   experiment's measurement); an undetected trial counts at the horizon. *)
 let detection_latency ~n ~params ~jobs ~trials ~seed =
   let protocol = Core.Sublinear.protocol ~params ~n ~h:params.Core.Params.h () in
+  let horizon = 400 * n * n in
   let times =
     Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
         let init = Core.Scenarios.sublinear_name_collision rng ~params ~n in
-        let sim = Engine.Sim.make ~protocol ~init ~rng in
-        let detected () =
-          let rec check i =
-            i < n
-            &&
-            match Engine.Sim.state sim i with
-            | Core.Reset.Resetting _ -> true
-            | Core.Reset.Computing _ -> check (i + 1)
-          in
-          check 0
-        in
-        while (not (detected ())) && Engine.Sim.interactions sim < 400 * n * n do
-          Engine.Sim.step sim
-        done;
-        Engine.Sim.parallel_time sim)
+        match Exp_tradeoff.detection_latency ~protocol ~init ~rng ~horizon with
+        | Some t -> t
+        | None -> float_of_int horizon /. float_of_int n)
   in
   Stats.Summary.of_array times
 

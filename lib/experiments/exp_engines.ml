@@ -82,7 +82,10 @@ let kernel_section buf =
        event bookkeeping included), interpreted vs compiled codes. *)
     let sim_steps = steps / 4 in
     let sim protocol init () =
-      Engine.Sim.run (Engine.Sim.make ~protocol ~init ~rng:(Prng.create ~seed:42)) sim_steps
+      Engine.Runner.run_while
+        (Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng:(Prng.create ~seed:42) ())
+        ~max_interactions:sim_steps
+        (fun () -> true)
     in
     let sim_rounds =
       rounds (sim p init)
@@ -113,7 +116,7 @@ let kernel_section buf =
     ~init:(Core.Scenarios.optimal_uniform (Prng.create ~seed:41) ~params ~n);
   Buffer.add_string buf (Stats.Table.render table ^ "\n\n")
 
-(* Eager vs lazy closure delta table: the same run_to_silence workload
+(* Eager vs lazy closure delta table: the same run to provable silence
    through the two probing modes of the count engine ([init_probe]
    forced on / off). The dense-transition rows are the lazy kernel's
    reason to exist — the eager fold probes (and then walks) a quadratic
@@ -124,7 +127,7 @@ let kernel_section buf =
    pairs until every null is cached), so eager remains the default for
    small initial supports. *)
 let closure_section buf =
-  Buffer.add_string buf "== Count engine: eager vs lazy closure (run_to_silence) ==\n\n";
+  Buffer.add_string buf "== Count engine: eager vs lazy closure (run to silence) ==\n\n";
   let table =
     Stats.Table.create
       ~header:
@@ -135,27 +138,31 @@ let closure_section buf =
   in
   let bench : 'a. label:string -> protocol:'a Engine.Protocol.t -> init:'a array -> float array =
    fun ~label ~protocol ~init ->
+    let n = protocol.Engine.Protocol.n in
     Array.map
       (fun eager ->
         let rng = Prng.create ~seed:2024 in
         let cs =
           Engine.Count_sim.make ~init_probe:eager ~protocol ~init:(Array.copy init) ~rng ()
         in
+        let exec = Engine.Exec.of_count_sim cs in
+        let silent () = Engine.Exec.silent exec = Some true in
         let t0 = Unix.gettimeofday () in
-        let o = Engine.Count_sim.run_to_silence cs in
+        Engine.Runner.run_while exec ~max_interactions:(100 * n * n) (fun () -> not (silent ()));
         let wall = Unix.gettimeofday () -. t0 in
+        let events = Engine.Exec.events exec in
         Stats.Table.add_row table
           [
             label;
             (if eager then "eager" else "lazy");
-            string_of_bool o.Engine.Count_sim.silent;
-            string_of_int o.Engine.Count_sim.events;
-            string_of_int o.Engine.Count_sim.interactions;
+            string_of_bool (silent ());
+            string_of_int events;
+            string_of_int (Engine.Exec.interactions exec);
             string_of_int (Engine.Count_sim.pairs_probed cs);
             string_of_int (Engine.Count_sim.pairs_cached cs);
             string_of_int (Engine.Count_sim.closure_size cs);
             Printf.sprintf "%.3f" wall;
-            Printf.sprintf "%.0f" (float_of_int o.Engine.Count_sim.events /. wall);
+            Printf.sprintf "%.0f" (float_of_int events /. wall);
           ];
         wall)
       [| true; false |]

@@ -7,8 +7,9 @@
       each. Optimal-Silent-SSR is the expensive transition the memo table
       pays off on; Silent-n-state-SSR is the negative control, whose
       transition is already cheaper than a table lookup.
-    - {b Closure table}: {!Engine.Count_sim.run_to_silence} with eager
-      and with lazy pair probing. Dense Optimal-Silent rows are where lazy
+    - {b Closure table}: a count-engine run to provable silence
+      ({!Engine.Runner.run_while} under a 100·n² interaction bound) with
+      eager and with lazy pair probing. Dense Optimal-Silent rows are where lazy
       probing wins; sparse Silent-n-state is the negative control, where
       the eager drain wins. One [eager/lazy wall-clock ratio] verdict line
       per row follows the table.

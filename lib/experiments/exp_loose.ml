@@ -3,22 +3,19 @@ let name = "loose"
 let description = "Loosely-stabilizing leader election: convergence with only an upper bound, finite holding time"
 
 let converge_from ~protocol ~init ~rng ~horizon =
-  let sim = Engine.Sim.make ~protocol ~init ~rng in
-  while (not (Engine.Sim.leader_correct sim)) && Engine.Sim.interactions sim < horizon do
-    Engine.Sim.step sim
-  done;
-  (sim, Engine.Sim.leader_correct sim, Engine.Sim.parallel_time sim)
+  let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
+  Engine.Runner.run_while exec ~max_interactions:horizon (fun () ->
+      not (Engine.Exec.leader_correct exec));
+  (exec, Engine.Exec.leader_correct exec, Engine.Exec.parallel_time exec)
 
 (* Holding time: from a converged single-leader configuration, parallel
    time until the leader count leaves 1. Capped. *)
-let holding_time sim ~cap =
-  let start = Engine.Sim.interactions sim in
-  let n = Engine.Sim.n sim in
-  while Engine.Sim.leader_correct sim && Engine.Sim.interactions sim - start < cap do
-    Engine.Sim.step sim
-  done;
-  let held = Engine.Sim.interactions sim - start in
-  (float_of_int held /. float_of_int n, held >= cap)
+let holding_time exec ~cap =
+  let start = Engine.Exec.interactions exec in
+  Engine.Runner.run_while exec ~max_interactions:(start + cap) (fun () ->
+      Engine.Exec.leader_correct exec);
+  let held = Engine.Exec.interactions exec - start in
+  (float_of_int held /. float_of_int (Engine.Exec.n exec), held >= cap)
 
 let run ~mode ~seed ~jobs =
   let buf = Buffer.create 4096 in
@@ -84,11 +81,11 @@ let run ~mode ~seed ~jobs =
       let protocol = Core.Loose.protocol ~n ~t_max in
       let outcomes =
         Fleet.Run.run_trials ~jobs ~trials ~seed:(seed + 1) (fun _ rng ->
-            let sim, ok, _ =
+            let exec, ok, _ =
               converge_from ~protocol ~init:(Core.Loose.uniform rng ~n ~t_max) ~rng
                 ~horizon:(100 * t_max * n)
             in
-            if ok then Some (holding_time sim ~cap) else None)
+            if ok then Some (holding_time exec ~cap) else None)
       in
       let held = Array.to_list outcomes |> List.filter_map Fun.id in
       let capped = List.length (List.filter snd held) in

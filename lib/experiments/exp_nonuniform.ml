@@ -38,19 +38,21 @@ let run ~mode ~seed ~jobs =
                   Core.Silent_n_state.state_of_rank0 ~n:n1
                     (if i = 0 then 0 else lo + ((i - 1) mod (n1 - lo))))
             in
-            let sim = Engine.Sim.make ~protocol ~init ~rng in
+            let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
             let horizon = 200 * n2 in
-            while Engine.Sim.leader_count sim < 2 && Engine.Sim.interactions sim < horizon do
-              Engine.Sim.step sim
-            done;
-            let to_second = Engine.Sim.parallel_time sim in
-            (* Long-run single-leader occupancy over a further window. *)
+            Engine.Runner.run_while exec ~max_interactions:horizon (fun () ->
+                Engine.Exec.leader_count exec < 2);
+            let to_second = Engine.Exec.parallel_time exec in
+            (* Long-run single-leader occupancy over a further window,
+               sampled after every interaction. *)
             let window = 100 * n2 in
             let good = ref 0 in
-            for _ = 1 to window do
-              Engine.Sim.step sim;
-              if Engine.Sim.leader_correct sim then incr good
-            done;
+            Engine.Exec.on exec (function
+              | Engine.Instrument.Step _ -> if Engine.Exec.leader_correct exec then incr good
+              | _ -> ());
+            Engine.Runner.run_while exec
+              ~max_interactions:(Engine.Exec.interactions exec + window)
+              (fun () -> true);
             (to_second, float_of_int !good /. float_of_int window))
       in
       let t = Stats.Summary.of_array (Array.map fst samples) in

@@ -41,12 +41,12 @@ let reset_only_protocol ~n ~r_max ~d_max ~awake_counter : (unit, unit) Core.Rese
     is_leader = (fun _ -> false);
   }
 
-let all_computing sim =
-  let n = Engine.Sim.n sim in
+let all_computing exec =
+  let n = Engine.Exec.n exec in
   let rec check i =
     i >= n
     ||
-    match Engine.Sim.state sim i with
+    match Engine.Exec.state exec i with
     | Core.Reset.Computing () -> check (i + 1)
     | Core.Reset.Resetting _ -> false
   in
@@ -78,12 +78,11 @@ let run ~mode ~seed ~jobs =
                 let awake_counter = ref 0 in
                 let protocol = reset_only_protocol ~n ~r_max ~d_max ~awake_counter in
                 let init = make_init rng ~n ~r_max ~d_max in
-                let sim = Engine.Sim.make ~protocol ~init ~rng in
+                let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
                 let horizon = 200 * n * max 1 (Core.Params.ceil_ln n) in
-                while (not (all_computing sim)) && Engine.Sim.interactions sim < horizon do
-                  Engine.Sim.step sim
-                done;
-                (Engine.Sim.parallel_time sim, float_of_int !awake_counter /. float_of_int n))
+                Engine.Runner.run_while exec ~max_interactions:horizon (fun () ->
+                    not (all_computing exec));
+                (Engine.Exec.parallel_time exec, float_of_int !awake_counter /. float_of_int n))
           in
           let t = Stats.Summary.of_array (Array.map fst samples) in
           let r = Stats.Summary.of_array (Array.map snd samples) in

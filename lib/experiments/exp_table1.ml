@@ -165,11 +165,11 @@ let run ~mode ~seed ~jobs =
      an adversarial start. *)
   let measure_visited (type s) ~(protocol : s Engine.Protocol.t) ~init ~steps ~snapshots_every =
     let rng = Prng.create ~seed:(seed + 9) in
-    let sim = Engine.Sim.make ~protocol ~init ~rng in
-    let snapshots = ref [ Engine.Sim.snapshot sim ] in
-    for _ = 1 to steps / snapshots_every do
-      Engine.Sim.run sim snapshots_every;
-      snapshots := Engine.Sim.snapshot sim :: !snapshots
+    let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
+    let snapshots = ref [ Engine.Exec.snapshot exec ] in
+    for k = 1 to steps / snapshots_every do
+      Engine.Runner.run_while exec ~max_interactions:(k * snapshots_every) (fun () -> true);
+      snapshots := Engine.Exec.snapshot exec :: !snapshots
     done;
     Core.State_space.count_distinct_visited ~equal:protocol.Engine.Protocol.equal
       ~snapshots:!snapshots

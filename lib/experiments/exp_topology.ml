@@ -22,13 +22,10 @@ let epidemic_time ~topology ~rng =
   let n = Engine.Topology.size topology in
   let protocol = infection_protocol ~n in
   let init = Array.init n (fun i -> i = 0) in
-  let sim =
-    Engine.Sim.make_with ~sampler:(Engine.Topology.sampler topology) ~protocol ~init ~rng
-  in
-  while Engine.Sim.leader_count sim < n do
-    Engine.Sim.step sim
-  done;
-  Engine.Sim.parallel_time sim
+  let exec = Engine.Exec.make ~topology ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
+  Engine.Runner.run_while exec ~max_interactions:max_int (fun () ->
+      Engine.Exec.leader_count exec < n);
+  Engine.Exec.parallel_time exec
 
 let run ~mode ~seed ~jobs =
   let buf = Buffer.create 4096 in
@@ -85,15 +82,11 @@ let run ~mode ~seed ~jobs =
             (* duplicate agent (n/2)'s rank onto agent 0: maximally distant
                on the ring *)
             init.(0) <- init.(n / 2);
-            let sim =
-              Engine.Sim.make_with ~sampler:(Engine.Topology.sampler topology) ~protocol ~init
-                ~rng
-            in
             let o =
               Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking
                 ~max_interactions:(2000 * n)
                 ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-                (Engine.Exec.of_sim sim)
+                (Engine.Exec.make ~topology ~kind:Engine.Exec.Agent ~protocol ~init ~rng ())
             in
             if o.Engine.Runner.converged then Some o.Engine.Runner.convergence_time else None)
       in
@@ -145,11 +138,12 @@ let run ~mode ~seed ~jobs =
             (* seed the infection at agent n-1 — on the star a leaf, not
                the hub, so the two-hop structure is exercised *)
             let init = Array.init n_big (fun i -> i = n_big - 1) in
-            let cs = Engine.Count_sim.make ~classes ~protocol ~init ~rng () in
-            while Engine.Count_sim.leader_count cs < n_big do
-              Engine.Count_sim.step_event cs
-            done;
-            Engine.Count_sim.parallel_time cs)
+            let exec =
+              Engine.Exec.of_count_sim (Engine.Count_sim.make ~classes ~protocol ~init ~rng ())
+            in
+            Engine.Runner.run_while exec ~max_interactions:max_int (fun () ->
+                Engine.Exec.leader_count exec < n_big);
+            Engine.Exec.parallel_time exec)
       in
       let s = Stats.Summary.of_array times in
       Stats.Table.add_row table3

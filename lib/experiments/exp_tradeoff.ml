@@ -6,22 +6,20 @@ let description = "Table 1 row 4 / Section 5.2: Sublinear-Time-SSR time/space tr
    agent enters the Resetting role) — the Θ(H·n^{1/(H+1)}) component of
    Section 5.2, isolated from the Θ(log n) reset/rebuild overhead. *)
 let detection_latency ~protocol ~init ~rng ~horizon =
-  let sim = Engine.Sim.make ~protocol ~init ~rng in
-  let n = Engine.Sim.n sim in
+  let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
+  let n = Engine.Exec.n exec in
   let detected () =
     let rec check i =
       i < n
       &&
-      match Engine.Sim.state sim i with
+      match Engine.Exec.state exec i with
       | Core.Reset.Resetting _ -> true
       | Core.Reset.Computing _ -> check (i + 1)
     in
     check 0
   in
-  while (not (detected ())) && Engine.Sim.interactions sim < horizon do
-    Engine.Sim.step sim
-  done;
-  if detected () then Some (Engine.Sim.parallel_time sim) else None
+  Engine.Runner.run_while exec ~max_interactions:horizon (fun () -> not (detected ()));
+  if detected () then Some (Engine.Exec.parallel_time exec) else None
 
 let measure_detection ~n ~h ~jobs ~trials ~seed =
   let params = Core.Params.sublinear ~h n in

@@ -116,6 +116,9 @@ ssr_sim)
   status -n 8 --chaos burst:5,corrupt:0.1 --horizon nan
   status -n 8 --chaos burst:5,corrupt:0.1 --horizon 1e308
   status -n 8 --chaos burst:5,corrupt:0.1 --sla nan
+  # command-line parse errors are usage errors too
+  status -n 8 --chaos burst:5,corrupt:0.1 --horizon -1
+  status -n abc
   plain -n 8 --chaos poisson:1e-18,corrupt:0.1
   # the loose protocol checks what it cannot honour
   status -p loose -n 1

@@ -591,15 +591,15 @@ let test_reset_full_wave () =
     Array.init n (fun i ->
         if i = 0 then Core.Reset.trigger ~spec fresh_probe else Core.Reset.Computing "old")
   in
-  let sim = Engine.Sim.make ~protocol ~init ~rng:(Prng.create ~seed:21) in
-  let all_computing () =
-    Engine.Sim.fold_states sim ~init:true ~f:(fun acc s ->
-        acc && match s with Core.Reset.Computing _ -> true | Core.Reset.Resetting _ -> false)
+  let exec =
+    Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng:(Prng.create ~seed:21) ()
   in
-  let budget = 500 * n in
-  while (not (all_computing ())) && Engine.Sim.interactions sim < budget do
-    Engine.Sim.step sim
-  done;
+  let all_computing () =
+    Array.for_all
+      (function Core.Reset.Computing _ -> true | Core.Reset.Resetting _ -> false)
+      (Engine.Exec.snapshot exec)
+  in
+  Engine.Runner.run_while exec ~max_interactions:(500 * n) (fun () -> not (all_computing ()));
   check_bool "wave completes" true (all_computing ());
   check_int "everyone reset exactly once" n !awakenings
 
@@ -829,11 +829,11 @@ let test_sublinear_tree_invariants_during_run () =
   let params, protocol = sublinear_ctx ~h n in
   let rng = Prng.create ~seed:77 in
   let init = Core.Scenarios.sublinear_fresh rng ~params ~n in
-  let sim = Engine.Sim.make ~protocol ~init ~rng in
-  for _ = 1 to 50 do
-    Engine.Sim.run sim 100;
+  let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
+  for k = 1 to 50 do
+    Engine.Runner.run_while exec ~max_interactions:(100 * k) (fun () -> true);
     for i = 0 to n - 1 do
-      match Engine.Sim.state sim i with
+      match Engine.Exec.state exec i with
       | Core.Reset.Computing c ->
           check_bool "simply labelled" true
             (Core.History_tree.simply_labelled ~own:c.Core.Sublinear.name c.Core.Sublinear.tree);
@@ -913,11 +913,12 @@ let test_baseline_converges_from_all_leaders () =
 let test_baseline_stuck_from_all_followers () =
   let n = 8 in
   let protocol = Core.Baseline.protocol ~n in
-  let sim =
-    Engine.Sim.make ~protocol ~init:(Core.Baseline.all_followers ~n) ~rng:(Prng.create ~seed:3)
+  let exec =
+    Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init:(Core.Baseline.all_followers ~n)
+      ~rng:(Prng.create ~seed:3) ()
   in
-  Engine.Sim.run sim 10_000;
-  check_int "never creates a leader" 0 (Engine.Sim.leader_count sim)
+  Engine.Runner.run_while exec ~max_interactions:10_000 (fun () -> true);
+  check_int "never creates a leader" 0 (Engine.Exec.leader_count exec)
 
 (* ------------------------------------------------------------------ *)
 (* Scenarios                                                           *)

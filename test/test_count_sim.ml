@@ -3,6 +3,14 @@
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Advance to provable silence, within [max_interactions] (default
+   100·n³, far past every run below). *)
+let run_to_silence ?max_interactions cs =
+  let n = Engine.Count_sim.n cs in
+  let max_interactions = Option.value max_interactions ~default:(100 * n * n * n) in
+  Engine.Runner.run_while (Engine.Exec.of_count_sim cs) ~max_interactions (fun () ->
+      not (Engine.Count_sim.is_silent cs))
+
 let test_rejects_randomized () =
   let p = Core.Sublinear.protocol ~n:4 ~h:0 () in
   let rng = Prng.create ~seed:1 in
@@ -31,8 +39,8 @@ let test_correct_config_is_silent () =
   check_bool "silent" true (Engine.Count_sim.is_silent cs);
   check_bool "correct" true (Engine.Count_sim.ranking_correct cs);
   check_int "no interactions consumed" 0 (Engine.Count_sim.interactions cs);
-  (* stepping a silent configuration is a no-op *)
-  Engine.Count_sim.step_event cs;
+  (* advancing a silent configuration only moves the clock *)
+  check_bool "advance reports silence" false (Engine.Count_sim.advance cs ~until:100);
   check_int "still no events" 0 (Engine.Count_sim.events cs)
 
 let test_worst_case_event_count () =
@@ -44,12 +52,12 @@ let test_worst_case_event_count () =
     Engine.Count_sim.make ~protocol:p ~init:(Core.Scenarios.silent_worst_case ~n)
       ~rng:(Prng.create ~seed:3) ()
   in
-  let o = Engine.Count_sim.run_to_silence cs in
-  check_bool "silent" true o.Engine.Count_sim.silent;
-  check_bool "correct" true o.Engine.Count_sim.correct;
-  check_int "exactly n-1 events" (n - 1) o.Engine.Count_sim.events;
+  run_to_silence cs;
+  check_bool "silent" true (Engine.Count_sim.is_silent cs);
+  check_bool "correct" true (Engine.Count_sim.ranking_correct cs);
+  check_int "exactly n-1 events" (n - 1) (Engine.Count_sim.events cs);
   check_bool "time is Θ(n²)-scale" true
-    (o.Engine.Count_sim.stabilization_time > float_of_int (n * n) /. 8.0)
+    (Engine.Count_sim.parallel_time cs > float_of_int (n * n) /. 8.0)
 
 let test_agrees_with_array_engine () =
   (* Same process, different engines: means over many trials must agree. *)
@@ -78,8 +86,8 @@ let test_agrees_with_array_engine () =
       let rng = Prng.create ~seed:(9000 + k) in
       let init = Core.Scenarios.silent_uniform rng ~n in
       let cs = Engine.Count_sim.make ~protocol:p ~init ~rng () in
-      let o = Engine.Count_sim.run_to_silence cs in
-      acc := !acc +. o.Engine.Count_sim.stabilization_time
+      run_to_silence cs;
+      acc := !acc +. Engine.Count_sim.parallel_time cs
     done;
     !acc /. float_of_int trials
   in
@@ -112,22 +120,11 @@ let test_distribution_matches_array_engine () =
         let rng = Prng.create ~seed:(50_000 + k) in
         let init = Core.Scenarios.silent_uniform rng ~n in
         let cs = Engine.Count_sim.make ~protocol:p ~init ~rng () in
-        (Engine.Count_sim.run_to_silence cs).Engine.Count_sim.stabilization_time)
+        run_to_silence cs;
+        Engine.Count_sim.parallel_time cs)
   in
   check_bool "same distribution (KS, alpha=0.01)" true
     (Stats.Ks.same_distribution array_times count_times)
-
-let test_distinct_states_counts () =
-  let n = 6 in
-  let p = Core.Silent_n_state.protocol ~n in
-  let init = Array.map (Core.Silent_n_state.state_of_rank0 ~n) [| 0; 0; 0; 2; 2; 5 |] in
-  let cs = Engine.Count_sim.make ~protocol:p ~init ~rng:(Prng.create ~seed:4) () in
-  let counts =
-    Engine.Count_sim.distinct_states cs
-    |> List.map (fun (s, c) -> ((s : Core.Silent_n_state.state :> int), c))
-    |> List.sort compare
-  in
-  Alcotest.(check (list (pair int int))) "counts" [ (0, 3); (2, 2); (5, 1) ] counts
 
 let test_monitor_over_counts () =
   let n = 4 in
@@ -136,8 +133,9 @@ let test_monitor_over_counts () =
   let cs = Engine.Count_sim.make ~protocol:p ~init ~rng:(Prng.create ~seed:5) () in
   check_bool "initially incorrect" false (Engine.Count_sim.ranking_correct cs);
   check_int "one leader (rank 1 = internal 0)" 1 (Engine.Count_sim.leader_count cs);
-  let o = Engine.Count_sim.run_to_silence cs in
-  check_bool "stabilizes" true (o.Engine.Count_sim.silent && o.Engine.Count_sim.correct);
+  run_to_silence cs;
+  check_bool "stabilizes" true
+    (Engine.Count_sim.is_silent cs && Engine.Count_sim.ranking_correct cs);
   check_bool "leader correct at end" true (Engine.Count_sim.leader_correct cs)
 
 let test_optimal_silent_through_count_engine () =
@@ -149,9 +147,9 @@ let test_optimal_silent_through_count_engine () =
   let rng = Prng.create ~seed:6 in
   let init = Core.Scenarios.optimal_uniform rng ~params ~n in
   let cs = Engine.Count_sim.make ~protocol:p ~init ~rng () in
-  let o = Engine.Count_sim.run_to_silence cs in
-  check_bool "silent" true o.Engine.Count_sim.silent;
-  check_bool "ranked" true o.Engine.Count_sim.correct
+  run_to_silence cs;
+  check_bool "silent" true (Engine.Count_sim.is_silent cs);
+  check_bool "ranked" true (Engine.Count_sim.ranking_correct cs)
 
 let test_interactions_dominate_events () =
   let n = 16 in
@@ -160,10 +158,10 @@ let test_interactions_dominate_events () =
     Engine.Count_sim.make ~protocol:p ~init:(Core.Scenarios.silent_worst_case ~n)
       ~rng:(Prng.create ~seed:7) ()
   in
-  let o = Engine.Count_sim.run_to_silence cs in
-  check_bool "events <= interactions" true (o.Engine.Count_sim.events <= o.Engine.Count_sim.interactions);
-  check_bool "null interactions were skipped" true
-    (o.Engine.Count_sim.interactions > 10 * o.Engine.Count_sim.events)
+  run_to_silence cs;
+  let events = Engine.Count_sim.events cs and interactions = Engine.Count_sim.interactions cs in
+  check_bool "events <= interactions" true (events <= interactions);
+  check_bool "null interactions were skipped" true (interactions > 10 * events)
 
 (* ---------- lazy probing and the tri-state oracle ---------- *)
 
@@ -314,8 +312,8 @@ let test_everything_fits_rule () =
       Engine.Count_sim.make ~classes ~init_probe:false ~null_budget ~protocol:p ~init
         ~rng:(Prng.create ~seed:73) ()
     in
-    let o = Engine.Count_sim.run_to_silence ~max_events:10_000 cs in
-    check_int (Printf.sprintf "budget %d: no event" null_budget) 0 o.Engine.Count_sim.events;
+    run_to_silence ~max_interactions:10_000 cs;
+    check_int (Printf.sprintf "budget %d: no event" null_budget) 0 (Engine.Count_sim.events cs);
     Engine.Count_sim.silent cs
   in
   Alcotest.(check (option bool)) "budget 9: provably silent" (Some true) (settle 9);
@@ -448,7 +446,6 @@ let suite =
     Alcotest.test_case "worst case event count" `Quick test_worst_case_event_count;
     Alcotest.test_case "agrees with array engine" `Slow test_agrees_with_array_engine;
     Alcotest.test_case "distribution matches array engine" `Slow test_distribution_matches_array_engine;
-    Alcotest.test_case "distinct state counts" `Quick test_distinct_states_counts;
     Alcotest.test_case "monitor over counts" `Quick test_monitor_over_counts;
     Alcotest.test_case "optimal-silent through count engine" `Slow test_optimal_silent_through_count_engine;
     Alcotest.test_case "null skipping" `Quick test_interactions_dominate_events;

@@ -31,10 +31,14 @@ let sim_time_to_silence ~n rng =
 (* Count engine: exact event-driven run to silence. *)
 let count_time_to_silence ~n rng =
   let protocol = Core.Silent_n_state.protocol ~n in
-  let cs = Engine.Count_sim.make ~protocol ~init:(Core.Scenarios.silent_worst_case ~n) ~rng () in
-  let o = Engine.Count_sim.run_to_silence cs in
-  if not o.Engine.Count_sim.silent then failwith "count_sim did not reach silence";
-  o.Engine.Count_sim.stabilization_time
+  let exec =
+    Engine.Exec.make ~kind:Engine.Exec.Count ~protocol ~init:(Core.Scenarios.silent_worst_case ~n)
+      ~rng ()
+  in
+  let silent () = Engine.Exec.silent exec = Some true in
+  Engine.Runner.run_while exec ~max_interactions:(100_000 * n) (fun () -> not (silent ()));
+  if not (silent ()) then failwith "count_sim did not reach silence";
+  Engine.Exec.parallel_time exec
 
 let samples ~n ~seed body =
   Fleet.Run.run_trials ~jobs:2 ~trials ~seed (fun _ rng -> body ~n rng)

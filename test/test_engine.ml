@@ -4,6 +4,7 @@
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let steps sim k = for _ = 1 to k do Engine.Sim.step sim done
 
 (* A toy deterministic protocol over int states for engine testing: agents
    hold ranks directly; no transition logic unless stated. *)
@@ -100,7 +101,7 @@ let test_sim_counts () =
   let p = toy_protocol 4 in
   let sim = Engine.Sim.make ~protocol:p ~init:[| 1; 2; 3; 4 |] ~rng:(Prng.create ~seed:1) in
   check_int "no interactions yet" 0 (Engine.Sim.interactions sim);
-  Engine.Sim.run sim 10;
+  steps sim 10;
   check_int "ten interactions" 10 (Engine.Sim.interactions sim);
   Alcotest.(check (float 1e-9)) "parallel time" 2.5 (Engine.Sim.parallel_time sim)
 
@@ -123,7 +124,7 @@ let test_sim_step_applies_transition () =
   let p = toy_protocol ~transition:(fun _ _ _ -> (7, 7)) 3 in
   let sim = Engine.Sim.make ~protocol:p ~init:[| 1; 2; 3 |] ~rng:(Prng.create ~seed:2) in
   Engine.Sim.step sim;
-  let sevens = Engine.Sim.fold_states sim ~init:0 ~f:(fun acc s -> if s = 7 then acc + 1 else acc) in
+  let sevens = Array.fold_left (fun acc s -> if s = 7 then acc + 1 else acc) 0 (Engine.Sim.snapshot sim) in
   check_int "exactly two agents changed" 2 sevens;
   match Engine.Sim.last_pair sim with
   | Some (i, j) ->
@@ -138,7 +139,7 @@ let test_sim_determinism () =
   in
   let run seed =
     let sim = Engine.Sim.make ~protocol:p ~init:[| 1; 2; 3; 4; 5 |] ~rng:(Prng.create ~seed) in
-    Engine.Sim.run sim 200;
+    steps sim 200;
     Engine.Sim.snapshot sim
   in
   Alcotest.(check (array int)) "same seed same trajectory" (run 11) (run 11);

@@ -93,6 +93,13 @@ let test_chain_worst_witness () =
   feq 1e-9 "witness attains the worst value" worst (Exact.Chain.expected_time a witness);
   check_bool "mean below worst" true (Exact.Chain.mean_expected_time a < worst)
 
+(* Count-engine parallel time to provable silence. *)
+let time_to_silence ~protocol ~init ~rng =
+  let exec = Engine.Exec.make ~kind:Engine.Exec.Count ~protocol ~init ~rng () in
+  Engine.Runner.run_while exec ~max_interactions:max_int (fun () ->
+      Engine.Exec.silent exec <> Some true);
+  Engine.Exec.parallel_time exec
+
 let test_chain_matches_simulation () =
   let n = 4 in
   let protocol = Core.Silent_n_state.protocol ~n in
@@ -104,8 +111,7 @@ let test_chain_matches_simulation () =
   let acc = ref 0.0 in
   for _ = 1 to trials do
     let rng = Prng.split root in
-    let cs = Engine.Count_sim.make ~protocol ~init ~rng () in
-    acc := !acc +. (Engine.Count_sim.run_to_silence cs).Engine.Count_sim.stabilization_time
+    acc := !acc +. time_to_silence ~protocol ~init ~rng
   done;
   let simulated = !acc /. float_of_int trials in
   check_bool
@@ -141,8 +147,7 @@ let test_chain_matches_engine_across_configurations () =
         let acc = ref 0.0 in
         for _ = 1 to trials do
           let rng = Prng.split root in
-          let cs = Engine.Count_sim.make ~protocol ~init ~rng () in
-          acc := !acc +. (Engine.Count_sim.run_to_silence cs).Engine.Count_sim.stabilization_time
+          acc := !acc +. time_to_silence ~protocol ~init ~rng
         done;
         let simulated = !acc /. float_of_int trials in
         check_bool

@@ -63,6 +63,64 @@ let test_converged_reports_entry () =
     (o.Engine.Runner.convergence_interactions <= o.Engine.Runner.total_interactions)
 
 (* ------------------------------------------------------------------ *)
+(* Runner.run_while: the bounded-advance primitive.                   *)
+
+let test_run_while_matches_steps () =
+  (* On the agent engine an advance is one Sim.step: k interactions of
+     run_while leave the configuration k steps leave on a same-seed twin. *)
+  let n = 16 and k = 777 in
+  let protocol = Core.Silent_n_state.protocol ~n in
+  let init = Core.Scenarios.silent_uniform (Prng.create ~seed:5) ~n in
+  let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng:(Prng.create ~seed:6) () in
+  Engine.Runner.run_while exec ~max_interactions:k (fun () -> true);
+  let sim = Engine.Sim.make ~protocol ~init ~rng:(Prng.create ~seed:6) in
+  for _ = 1 to k do Engine.Sim.step sim done;
+  check_int "k interactions" k (Engine.Exec.interactions exec);
+  check_bool "same configuration" true (Engine.Exec.snapshot exec = Engine.Sim.snapshot sim)
+
+let test_run_while_false_predicate () =
+  List.iter
+    (fun kind ->
+      let n = 16 in
+      let exec =
+        silent_exec ~kind ~n ~seed:7 ~init:(fun rng -> Core.Scenarios.silent_uniform rng ~n)
+      in
+      Engine.Runner.run_while exec ~max_interactions:max_int (fun () -> false);
+      let label = Engine.Exec.kind_to_string kind in
+      check_int (label ^ ": no interaction") 0 (Engine.Exec.interactions exec);
+      check_int (label ^ ": no event") 0 (Engine.Exec.events exec))
+    [ Engine.Exec.Agent; Engine.Exec.Count ]
+
+let test_run_while_count_bound () =
+  (* The count engine jumps over nulls, yet its clock never passes a
+     finite bound: a hit sampled past it parks the clock on it. *)
+  let n = 32 in
+  let exec =
+    silent_exec ~kind:Engine.Exec.Count ~n ~seed:8 ~init:(fun _ ->
+        Core.Scenarios.silent_worst_case ~n)
+  in
+  for k = 1 to 40 do
+    let bound = 37 * k in
+    Engine.Runner.run_while exec ~max_interactions:bound (fun () ->
+        check_bool "clock below the bound" true (Engine.Exec.interactions exec < bound);
+        true);
+    check_int (Printf.sprintf "clock parked at %d" bound) bound (Engine.Exec.interactions exec)
+  done;
+  check_bool "some events ran" true (Engine.Exec.events exec > 0)
+
+let test_run_while_silent_returns () =
+  (* A provably silent count engine under an unbounded horizon: the
+     first advance reports silence and the loop ends. *)
+  let n = 16 in
+  let exec =
+    silent_exec ~kind:Engine.Exec.Count ~n ~seed:9 ~init:(fun _ ->
+        Core.Scenarios.silent_correct ~n)
+  in
+  Engine.Runner.run_while exec ~max_interactions:max_int (fun () -> true);
+  check_int "no event" 0 (Engine.Exec.events exec);
+  Alcotest.(check (option bool)) "silent" (Some true) (Engine.Exec.silent exec)
+
+(* ------------------------------------------------------------------ *)
 (* Count executor through the Runner: full outcome records, and the
    exact-silence oracle agreeing with confirmation-window semantics.  *)
 
@@ -312,6 +370,10 @@ let suite =
     Alcotest.test_case "unconverged mid-window reports entry" `Quick
       test_unconverged_mid_window_reports_entry;
     Alcotest.test_case "converged reports entry" `Quick test_converged_reports_entry;
+    Alcotest.test_case "run_while matches k steps" `Quick test_run_while_matches_steps;
+    Alcotest.test_case "run_while false predicate" `Quick test_run_while_false_predicate;
+    Alcotest.test_case "run_while count bound" `Quick test_run_while_count_bound;
+    Alcotest.test_case "run_while silent returns" `Quick test_run_while_silent_returns;
     Alcotest.test_case "count executor full outcome" `Quick test_count_executor_full_outcome;
     Alcotest.test_case "oracle matches confirmation window" `Slow
       test_oracle_matches_confirmation_window;

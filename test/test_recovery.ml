@@ -153,15 +153,14 @@ let qcheck_reset_wave_always_completes =
                 Core.Reset.Resetting
                   { Core.Reset.resetcount = 0; delaytimer = Prng.int rng (d_max + 1); payload = () })
       in
-      let sim = Engine.Sim.make ~protocol ~init ~rng in
+      let exec = Engine.Exec.make ~kind:Engine.Exec.Agent ~protocol ~init ~rng () in
       let all_computing () =
-        Engine.Sim.fold_states sim ~init:true ~f:(fun acc s ->
-            acc && match s with Core.Reset.Computing () -> true | Core.Reset.Resetting _ -> false)
+        Array.for_all
+          (function Core.Reset.Computing () -> true | Core.Reset.Resetting _ -> false)
+          (Engine.Exec.snapshot exec)
       in
-      let budget = 2000 * n in
-      while (not (all_computing ())) && Engine.Sim.interactions sim < budget do
-        Engine.Sim.step sim
-      done;
+      Engine.Runner.run_while exec ~max_interactions:(2000 * n) (fun () ->
+          not (all_computing ()));
       all_computing ())
 
 let test_history_timers_expire_paths () =

@@ -88,20 +88,18 @@ let test_sim_with_topology () =
   let ring = Engine.Topology.ring ~n in
   (* leaders at opposite positions 0 and 4: stuck at two leaders forever *)
   let init = Array.init n (fun i -> if i = 0 || i = 4 then Core.Baseline.Leader else Core.Baseline.Follower) in
-  let sim =
-    Engine.Sim.make_with ~sampler:(Engine.Topology.sampler ring) ~protocol ~init
-      ~rng:(Prng.create ~seed:16)
+  let run ~seed init =
+    let exec =
+      Engine.Exec.make ~topology:ring ~kind:Engine.Exec.Agent ~protocol ~init
+        ~rng:(Prng.create ~seed) ()
+    in
+    Engine.Runner.run_while exec ~max_interactions:50_000 (fun () -> true);
+    Engine.Exec.leader_count exec
   in
-  Engine.Sim.run sim 50_000;
-  check_int "non-adjacent leaders never annihilate" 2 (Engine.Sim.leader_count sim);
+  check_int "non-adjacent leaders never annihilate" 2 (run ~seed:16 init);
   (* adjacent leaders do *)
   let init = Array.init n (fun i -> if i <= 1 then Core.Baseline.Leader else Core.Baseline.Follower) in
-  let sim =
-    Engine.Sim.make_with ~sampler:(Engine.Topology.sampler ring) ~protocol ~init
-      ~rng:(Prng.create ~seed:17)
-  in
-  Engine.Sim.run sim 50_000;
-  check_int "adjacent leaders annihilate" 1 (Engine.Sim.leader_count sim)
+  check_int "adjacent leaders annihilate" 1 (run ~seed:17 init)
 
 let test_errors () =
   Alcotest.check_raises "tiny ring" (Invalid_argument "Topology.ring: n must be >= 3") (fun () ->
