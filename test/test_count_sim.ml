@@ -369,6 +369,33 @@ let qcheck_excluded_draw =
       Engine.Fenwick.add f s 1;
       shifted = mutated)
 
+(* ---------- Fenwick descent against a linear scan ---------- *)
+
+let qcheck_find_matches_scan =
+  (* Lengths 1..70 cross the capacity doublings at 16, 32 and 64 slots;
+     weight 0 is drawn often so that empty slots sit on every side of a
+     descent's pivot. *)
+  QCheck.Test.make ~name:"fenwick find and prefix equal a linear scan" ~count:500
+    QCheck.(list_of_size (Gen.int_range 1 70) (int_bound 3))
+    (fun weights ->
+      let weights = Array.of_list weights in
+      let f = Engine.Fenwick.create () in
+      Array.iteri
+        (fun i w ->
+          Engine.Fenwick.append f;
+          Engine.Fenwick.add f i w)
+        weights;
+      let ok = ref true and sum = ref 0 in
+      Array.iteri
+        (fun i w ->
+          for target = !sum to !sum + w - 1 do
+            if Engine.Fenwick.find f target <> i then ok := false
+          done;
+          sum := !sum + w;
+          if Engine.Fenwick.prefix f i <> !sum then ok := false)
+        weights;
+      !ok && Engine.Fenwick.total f = !sum)
+
 (* ---------- degree-class lumping ---------- *)
 
 let test_classes_snapshot_and_faults () =
@@ -459,6 +486,7 @@ let suite =
     Alcotest.test_case "optimal-silent window caches no null" `Slow
       test_optimal_window_caches_nothing;
     QCheck_alcotest.to_alcotest qcheck_excluded_draw;
+    QCheck_alcotest.to_alcotest qcheck_find_matches_scan;
     Alcotest.test_case "classes snapshot and faults" `Quick test_classes_snapshot_and_faults;
     Alcotest.test_case "star lumping silent but incorrect" `Quick
       test_star_lumping_silent_but_incorrect;

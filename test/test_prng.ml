@@ -233,6 +233,84 @@ let test_split_children_uncorrelated () =
       (Float.abs r < 0.2)
   done
 
+(* Known answers: the first 16 outputs of each primitive from a fresh
+   generator, for seeds 0 and 42. "split" reads the child of the first
+   draw, "copy" a copy taken after three draws. Any change to the state
+   layout or the draw arithmetic must leave every value here as it is:
+   the golden pins, events digests and benchmark counters all rest on
+   these streams. Bound 2^61+1 rejects about half its raw draws. *)
+let stream_pins =
+  [
+    ("bits64", 0,
+     "99ec5f36cb75f2b4 bf6e1f784956452a 1a5f849d4933e6e0 6aa594f1262d2d2c bba5ad4a1f842e59 ffef8375d9ebcaca 6c160deed2f54c98 8920ad648fc30a3f db032c0ba7539731 eb3a475a3e749a3d 1d42993fa43f2a54 11361bf526a14bb5 1b4f07a5ab3d8e9c a7a3257f6986db7f 7efdaa95605dfc9c 4bde97c0a78eaab8");
+    ("int 1", 0,
+     "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0");
+    ("int 7", 0,
+     "3 4 2 6 1 6 1 1 4 2 1 2 2 2 6 5");
+    ("int 10000", 0,
+     "612 9274 8768 5628 7929 7786 2440 1295 1905 7085 5844 2693 2508 6431 9276 2824");
+    ("int 2^61+1", 0,
+     "1867972634398290612 1900383378846508768 657716193016351295 1946447892517721905 2108416074180405844 1240209487116192693 1967799970308132508 855287832947632824 918302724222253452 1066191477599053797 1149861938805596784 1321116446846183460 970644531555567855 776664477518809363 224319791317129617 706796178320219295");
+    ("float", 0,
+     "0x1.33d8be6d96ebep-1 0x1.7edc3ef092ac8p-1 0x1.a5f849d4933ep-4 0x1.aa9653c498b4ap-2 0x1.774b5a943f085p-1 0x1.ffdf06ebb3d79p-1 0x1.b05837bb4bd52p-2 0x1.12415ac91f861p-1 0x1.b60658174ea72p-1 0x1.d6748eb47ce93p-1 0x1.d42993fa43f28p-4 0x1.1361bf526a148p-4 0x1.b4f07a5ab3d88p-4 0x1.4f464afed30dbp-1 0x1.fbf6aa558177ep-2 0x1.2f7a5f029e3aap-2");
+    ("bits 20", 0,
+     "630469 784097 108024 436825 768602 1048312 442720 561674 897074 963492 119849 70497 111856 686642 520154 310761");
+    ("bool", 0,
+     "0 0 0 0 1 0 0 1 1 1 0 1 0 1 0 0");
+    ("split", 0,
+     "4c94e4a98a1709eb 48235b11b4380ed6 757ef423c8f581cc 002c24c674801072 d53f70483a2f04fb 80dc4ed1c28511ce 246b1ce0f7023790 2ee31c1a573874ce eadb36ab158b7dbc ef60edf5362e8f4b dc8796390c6d5dfe edc9fa6315e8718c 408e8a6068882ebc e540736f3393841d 19a7b91d080783ca 984f262b5a8c960e");
+    ("copy", 0,
+     "6aa594f1262d2d2c bba5ad4a1f842e59 ffef8375d9ebcaca 6c160deed2f54c98 8920ad648fc30a3f db032c0ba7539731 eb3a475a3e749a3d 1d42993fa43f2a54 11361bf526a14bb5 1b4f07a5ab3d8e9c a7a3257f6986db7f 7efdaa95605dfc9c 4bde97c0a78eaab8 b455eac43518666c 304dbf6c06730690 8cbe7776598a798c");
+    ("bits64", 42,
+     "15780b2e0c2ec716 6104d9866d113a7e ae17533239e499a1 ecb8ad4703b360a1 fde6dc7fe2ec5e64 c50da53101795238 b82154855a65ddb2 d99a2743ebe60087 c2e96e726e97647e 9556615f775fbc3d aeb53b340c103971 4a69db9873af8965 cd0feda93006c6b6 52480865a4b42742 b60dec3bf2d887cd e0b55a68b96677fa");
+    ("int 1", 42,
+     "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0");
+    ("int 7", 42,
+     "2 4 4 6 6 3 1 2 0 4 5 2 4 1 4 4");
+    ("int 10000", 42,
+     "8742 5198 3201 481 3764 6872 4946 695 1246 3277 1841 3989 9398 9138 9485 1658");
+    ("int 2^61+1", 42,
+     "1546998764402558742 364128774783586872 1844830170035650695 209820295410181246 1537523385446153277 750372260756293989 941232158054729398 1317312123653859138 2153870293806673813 1870316922587333844 1712965807924549849 1881838702456566807 1180386813993057008 721672153837094072 2263993204587113274 2087482996259066216");
+    ("float", 42,
+     "0x1.5780b2e0c2ecp-4 0x1.84136619b444ep-2 0x1.5c2ea66473c93p-1 0x1.d9715a8e0766cp-1 0x1.fbcdb8ffc5d8bp-1 0x1.8a1b4a6202f2ap-1 0x1.7042a90ab4cbbp-1 0x1.b3344e87d7ccp-1 0x1.85d2dce4dd2ecp-1 0x1.2aacc2beeebf7p-1 0x1.5d6a766818207p-1 0x1.29a76e61cebe2p-2 0x1.9a1fdb52600d8p-1 0x1.4920219692d08p-2 0x1.6c1bd877e5b1p-1 0x1.c16ab4d172ccep-1");
+    ("bits 20", 42,
+     "87936 397389 713077 969610 1039981 807130 754197 891298 798358 611686 715603 304797 839934 337024 745694 920405");
+    ("bool", 42,
+     "0 0 1 1 0 0 0 1 0 1 1 1 0 0 1 0");
+    ("split", 42,
+     "8ee445d14631c453 106fa1a13296fe62 729a768806244ce5 91d83a17b20e6585 38c33df442fc70fd e33cd1b92e2e42f1 3162280b9dcfa5ef b4f9f0541228b854 1a14e769c3971c72 bcdc3038014f831d 812cc5b01f199815 3134fde165d33c1a 3368166c2f73f701 18ff20dedd333424 985e809610691fbd c7e926ca8d4dd481");
+    ("copy", 42,
+     "ecb8ad4703b360a1 fde6dc7fe2ec5e64 c50da53101795238 b82154855a65ddb2 d99a2743ebe60087 c2e96e726e97647e 9556615f775fbc3d aeb53b340c103971 4a69db9873af8965 cd0feda93006c6b6 52480865a4b42742 b60dec3bf2d887cd e0b55a68b96677fa 9de4159eda9cef95 d9f4b354ec3844d4 b5215f43ed431a77");
+  ]
+
+let stream_case name seed =
+  let g = Prng.create ~seed in
+  let take16 f = String.concat " " (List.init 16 (fun _ -> f ())) in
+  let ints bound = take16 (fun () -> string_of_int (Prng.int g bound)) in
+  let hex64 g () = Printf.sprintf "%016Lx" (Prng.bits64 g) in
+  match name with
+  | "bits64" -> take16 (hex64 g)
+  | "int 1" -> ints 1
+  | "int 7" -> ints 7
+  | "int 10000" -> ints 10_000
+  | "int 2^61+1" -> ints ((1 lsl 61) + 1)
+  | "float" -> take16 (fun () -> Printf.sprintf "%h" (Prng.float g))
+  | "bits 20" -> take16 (fun () -> string_of_int (Prng.bits g ~width:20))
+  | "bool" -> take16 (fun () -> if Prng.bool g then "1" else "0")
+  | "split" -> take16 (hex64 (Prng.split g))
+  | "copy" ->
+      for _ = 1 to 3 do
+        ignore (Prng.bits64 g)
+      done;
+      take16 (hex64 (Prng.copy g))
+  | _ -> invalid_arg name
+
+let test_stream_pins () =
+  List.iter
+    (fun (name, seed, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%s, seed %d" name seed) expected (stream_case name seed))
+    stream_pins
+
 let qcheck_permutation =
   QCheck.Test.make ~name:"permutation is bijective" ~count:200
     QCheck.(pair small_int (int_bound 1000))
@@ -276,6 +354,7 @@ let suite =
     Alcotest.test_case "shuffle multiset" `Quick test_shuffle_multiset;
     Alcotest.test_case "bits" `Quick test_bits;
     Alcotest.test_case "pick" `Quick test_pick;
+    Alcotest.test_case "stream pins" `Quick test_stream_pins;
     QCheck_alcotest.to_alcotest qcheck_permutation;
     QCheck_alcotest.to_alcotest qcheck_int_bound;
   ]
