@@ -76,19 +76,25 @@ let prefix t i =
    weight of slots [<= i] — i.e. slot chosen proportionally to weight when
    [target] is uniform. Standard Fenwick descent, O(log capacity). The
    capacity is always a power of two (16, doubled on growth), so the
-   descent starts at it and every probed node [pos + bit] is in range. *)
+   descent starts at it and every probed node [pos + bit] is in range:
+   node [cap] holds [total > target] and is never taken, so [pos] stays
+   below [cap] and is a multiple of [2 * bit]. The reads are therefore
+   unchecked, and each step takes its node by a sign mask rather than a
+   branch: a uniform target makes that branch a coin flip the predictor
+   cannot learn. *)
 let find t target =
   if target < 0 || target >= t.total then invalid_arg "Fenwick.find: target out of range";
+  let tree = t.tree in
   let pos = ref 0 in
   let remaining = ref target in
   let bit = ref (Array.length t.weights) in
   while !bit > 0 do
-    let next = !pos + !bit in
-    if t.tree.(next) <= !remaining then begin
-      remaining := !remaining - t.tree.(next);
-      pos := next
-    end;
-    bit := !bit / 2
+    let node = Array.unsafe_get tree (!pos + !bit) in
+    (* all ones when node <= remaining, else zero *)
+    let take = lnot ((!remaining - node) asr (Sys.int_size - 1)) in
+    remaining := !remaining - (node land take);
+    pos := !pos + (!bit land take);
+    bit := !bit lsr 1
   done;
   if !pos >= t.len then invalid_arg "Fenwick.find: weight accounting broke";
   !pos

@@ -2,6 +2,13 @@
    implementation), ported to OCaml Int64. State must never be all zero;
    splitmix64 seeding guarantees that.
 
+   The four state words live unboxed in a 32-byte [Bytes.t] and are read
+   and written with the unchecked 64-bit bytes primitives. The xoshiro
+   step is inlined into each draw, so its int64 temporaries stay in
+   registers: [int], [int_in], [bits], [bool], [shuffle] and [pick]
+   allocate nothing, and [float] and [bits64] allocate only the boxed
+   value they return.
+
    A generator can alternatively run in *scripted* mode: every bounded
    primitive draw ([int], [bool], [bits], ...) is then served from a
    prescribed list of choices instead of the xoshiro stream, and the
@@ -17,14 +24,31 @@ type script = {
 }
 
 type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
+  state : Bytes.t;  (* s0, s1, s2, s3 at byte offsets 0, 8, 16, 24 *)
   script : script option;
 }
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+(* Native-endian and unchecked: the state is only ever read back through
+   these two, and every offset below is a constant inside its 32 bytes. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* One xoshiro256** step: advance [st] and return the output word. *)
+let[@inline] next st =
+  let s0 = get64 st 0 and s1 = get64 st 8 and s2 = get64 st 16 and s3 = get64 st 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let t = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set64 st 0 s0;
+  set64 st 8 s1;
+  set64 st 16 (Int64.logxor s2 t);
+  set64 st 24 (rotl s3 45);
+  result
 
 (* splitmix64: used only to expand a seed into four state words. *)
 let splitmix_next state =
@@ -35,12 +59,12 @@ let splitmix_next state =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let of_seed64 seed64 =
-  let state = ref seed64 in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3; script = None }
+  let seed = ref seed64 in
+  let state = Bytes.create 32 in
+  for w = 0 to 3 do
+    set64 state (8 * w) (splitmix_next seed)
+  done;
+  { state; script = None }
 
 let create ~seed = of_seed64 (Int64.of_int seed)
 
@@ -75,44 +99,31 @@ let copy g =
     | None -> None
     | Some s -> Some { pending = s.pending; trace = s.trace }
   in
-  { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3; script }
+  { state = Bytes.copy g.state; script }
 
-let raw_bits64 g =
-  let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
-  result
-
-let bits64 g =
+let[@inline] bits64 g =
   match g.script with
-  | None -> raw_bits64 g
+  | None -> next g.state
   | Some _ -> invalid_arg "Prng.bits64: unbounded draw on a scripted generator"
 
 let split g = of_seed64 (bits64 g)
 
 let split_many g k = Array.init k (fun _ -> split g)
 
-(* Uniform int in [0, bound) by rejection on the top 62 bits (non-negative
-   OCaml int range). *)
+(* Uniform int in [0, bound) by rejection on the low 62 bits of each
+   output (the non-negative OCaml int range). *)
 let int g bound =
   assert (bound > 0);
   match g.script with
   | Some s -> script_draw s bound
   | None ->
-      let mask = Int64.shift_right_logical Int64.minus_one 2 in
-      (* 62 bits *)
-      let rec loop () =
-        let r = Int64.to_int (Int64.logand (raw_bits64 g) mask) in
-        (* r is uniform on [0, 2^62). Reject the tail to avoid modulo bias. *)
-        let limit = (max_int / bound) * bound in
-        if r < limit then r mod bound else loop ()
-      in
-      loop ()
+      (* r is uniform on [0, 2^62). Reject the tail to avoid modulo bias. *)
+      let limit = (max_int / bound) * bound in
+      let r = ref limit in
+      while !r >= limit do
+        r := Int64.to_int (next g.state) land max_int
+      done;
+      !r mod bound
 
 let int_in g lo hi =
   assert (lo <= hi);
@@ -121,7 +132,7 @@ let int_in g lo hi =
 let bool g =
   match g.script with
   | Some s -> script_draw s 2 = 1
-  | None -> Int64.compare (Int64.logand (raw_bits64 g) 1L) 0L <> 0
+  | None -> Int64.to_int (next g.state) land 1 = 1
 
 let float g =
   (* 53 random bits into [0,1). *)
@@ -167,4 +178,4 @@ let bits g ~width =
         if width > max_scripted_width then
           invalid_arg "Prng.bits: width too large to enumerate on a scripted generator";
         script_draw s (1 lsl width)
-    | None -> Int64.to_int (Int64.shift_right_logical (raw_bits64 g) (64 - width))
+    | None -> Int64.to_int (Int64.shift_right_logical (next g.state) (64 - width))

@@ -311,6 +311,31 @@ let test_stream_pins () =
       Alcotest.(check string) (Printf.sprintf "%s, seed %d" name seed) expected (stream_case name seed))
     stream_pins
 
+(* The bounded draws keep the xoshiro state unboxed: a draw that
+   allocated would cost the count engine's confirmation window a minor
+   collection every few thousand ticks. The slack covers the boxed float
+   [Gc.minor_words] may return, not the draws. *)
+let test_draws_allocate_nothing () =
+  let g = Prng.create ~seed:16 in
+  let sink = ref 0 in
+  let words draw =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100_000 do
+      sink := !sink + draw ()
+    done;
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (name, draw) ->
+      let w = words draw in
+      check_bool (Printf.sprintf "%s: %.0f minor words for 1e5 draws" name w) true (w < 16.0))
+    [
+      ("int", fun () -> Prng.int g 10_000);
+      ("bits", fun () -> Prng.bits g ~width:20);
+      ("bool", fun () -> Bool.to_int (Prng.bool g));
+    ];
+  ignore (Sys.opaque_identity !sink)
+
 let qcheck_permutation =
   QCheck.Test.make ~name:"permutation is bijective" ~count:200
     QCheck.(pair small_int (int_bound 1000))
@@ -355,6 +380,7 @@ let suite =
     Alcotest.test_case "bits" `Quick test_bits;
     Alcotest.test_case "pick" `Quick test_pick;
     Alcotest.test_case "stream pins" `Quick test_stream_pins;
+    Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
     QCheck_alcotest.to_alcotest qcheck_permutation;
     QCheck_alcotest.to_alcotest qcheck_int_bound;
   ]
