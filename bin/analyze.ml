@@ -198,4 +198,5 @@ let argv =
       else a)
     Sys.argv
 
-let () = exit (Cmd.eval' ~argv cmd)
+(* Every usage error exits 2, cmdliner's own parse errors included. *)
+let () = exit (match Cmd.eval' ~argv cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

@@ -168,4 +168,5 @@ let cmd =
     Term.(
       const main $ list_arg $ full_arg $ names_arg $ seed_arg $ jobs_arg $ out_arg $ out_dir_arg)
 
-let () = exit (Cmd.eval' cmd)
+(* Every usage error exits 2, cmdliner's own parse errors included. *)
+let () = exit (match Cmd.eval' cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

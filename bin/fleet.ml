@@ -276,4 +276,5 @@ let cmd =
       $ backoff_arg $ chaos_arg $ chaos_seed_arg $ resume_arg $ serve_arg $ port_arg
       $ metrics_arg)
 
-let () = exit (Cmd.eval' cmd)
+(* Every usage error exits 2, cmdliner's own parse errors included. *)
+let () = exit (match Cmd.eval' cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

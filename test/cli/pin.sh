@@ -45,7 +45,8 @@ plain() {
 # status ARGS...: the exit code alone (usage errors; their wording is free).
 status() {
   "$exe" "$@" > /dev/null 2>&1
-  echo "== ${REPRO_JOBS:+REPRO_JOBS=$REPRO_JOBS }ssr_sim $* -> exit $?"
+  local code=$?
+  echo "== ${REPRO_JOBS:+REPRO_JOBS=$REPRO_JOBS }$(basename "$exe" .exe) $* -> exit $code"
 }
 
 # walls ARGS...: how many trial wall times a --metrics run recorded.
@@ -135,12 +136,15 @@ JOBS
   "$exe" "$tmp/jobs.jsonl" --out-dir "$tmp/out" --workers 1 2> "$tmp/err" | grep -v '^fleet: journal'
   echo "exit ${PIPESTATUS[0]}"
   for id in agent count soak; do echo "$id events $(digest "$tmp/out/$id.events.jsonl")"; done
+  # a command-line parse error is a usage error
+  status --workers abc
   ;;
 experiments)
   # every experiment but table1 and chaos (slow, see below) and engines
   # (its table cells are wall-clock readings)
   report tradeoff figures silent_lb quadratic_lb nonuniform reset scale exact ablation loose \
     topology scenarios epidemic
+  status --jobs abc
   ;;
 experiments-slow)
   report table1 chaos
@@ -172,5 +176,6 @@ analyze)
   "$exe" --protocol all --n 3 --n 4 --jobs 2 --certify --certify-dir "$tmp/certs"
   echo "exit $?"
   for cert in "$tmp"/certs/*.json; do echo "$(basename "$cert") $(digest "$cert")"; done
+  status --n abc
   ;;
 esac
