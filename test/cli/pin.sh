@@ -4,9 +4,10 @@
 # time), its exit code, and a digest of the events file it wrote. The
 # events files themselves are not committed: ring runs write ~6 MB.
 #
-# The experiments modes pin the quick-mode reports instead, minus the
-# per-experiment wall-clock lines; the engines-closure mode pins the
-# count columns of the eager/lazy closure table. The analyze mode pins
+# The experiments modes pin the quick-mode reports instead, and the
+# full-mode exact report, minus the per-experiment wall-clock lines; the
+# engines-closure mode pins the count columns of the eager/lazy closure
+# table. The analyze mode pins
 # the IR dump of every catalogue entry at n = 3 and 4, the certifying
 # report and the digest of each certificate it writes. The examples
 # mode pins the stdout of each example binary it is given.
@@ -57,11 +58,14 @@ walls() {
   rm -f "$tmp/m.json"
 }
 
-# report NAME...: the named experiments' quick-mode reports at seed 2024
-# on two domains, minus the wall-clock lines; then the exit code.
+# report [--full] NAME...: the named experiments' reports (quick mode
+# unless --full) at seed 2024 on two domains, minus the wall-clock
+# lines; then the exit code.
 report() {
   local args=()
-  for name in "$@"; do args+=(-e "$name"); done
+  for name in "$@"; do
+    case $name in --*) args+=("$name") ;; *) args+=(-e "$name") ;; esac
+  done
   "$exe" "${args[@]}" --seed 2024 --jobs 2 2> "$tmp/err" | grep -v '^(experiment .* wall clock)$'
   echo "exit ${PIPESTATUS[0]}"
 }
@@ -144,6 +148,8 @@ experiments)
   # (its table cells are wall-clock readings)
   report tradeoff figures silent_lb quadratic_lb nonuniform reset scale exact ablation loose \
     topology scenarios epidemic
+  # the exact chain up to n = 7 (under a second)
+  report --full exact
   status --jobs abc
   ;;
 experiments-slow)

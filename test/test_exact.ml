@@ -93,6 +93,41 @@ let test_chain_worst_witness () =
   feq 1e-9 "witness attains the worst value" worst (Exact.Chain.expected_time a witness);
   check_bool "mean below worst" true (Exact.Chain.mean_expected_time a < worst)
 
+(* The dense solve's values, pinned so that any rewrite of the chain
+   reproduces them: worst and mean expected parallel times, the
+   configuration and absorbing counts at n = 3..6, and the five n = 5
+   starting configurations of the engine comparison below. *)
+let test_chain_pinned_values () =
+  List.iter
+    (fun (n, configs, worst, mean) ->
+      let a = analysis n in
+      let label what = Printf.sprintf "%s at n=%d" what n in
+      check_int (label "configurations") configs (Exact.Chain.configurations a);
+      check_int (label "absorbing") 1 (Exact.Chain.absorbing a);
+      feq 1e-9 (label "worst") worst (fst (Exact.Chain.worst_expected_time a));
+      feq 1e-9 (label "mean") mean (Exact.Chain.mean_expected_time a))
+    [
+      (3, 10, 2.333333333333333, 1.5999999999999996);
+      (4, 35, 5.5000000000000009, 3.9000000000000008);
+      (5, 126, 9.9239583333333385, 7.2245783730158752);
+      (6, 462, 15.548130580357158, 11.559576125372024);
+    ]
+
+let test_chain_pinned_configurations () =
+  let n = 5 in
+  let a = analysis n in
+  List.iter
+    (fun (ranks, expected) ->
+      let init = Array.map (Core.Silent_n_state.state_of_rank0 ~n) ranks in
+      feq 1e-9 "expected time" expected (Exact.Chain.expected_time a init))
+    [
+      ([| 0; 0; 0; 0; 0 |], 9.923958333333335);
+      ([| 0; 0; 1; 2; 3 |], 8.0000000000000018);
+      ([| 0; 0; 2; 2; 4 |], 2.9999999999999991);
+      ([| 4; 4; 4; 4; 4 |], 9.923958333333335);
+      ([| 0; 1; 2; 3; 4 |], 0.0);
+    ]
+
 (* Count-engine parallel time to provable silence. *)
 let time_to_silence ~protocol ~init ~rng =
   let exec = Engine.Exec.make ~kind:Engine.Exec.Count ~protocol ~init ~rng () in
@@ -216,6 +251,8 @@ let suite =
     Alcotest.test_case "chain model-checks stabilization" `Quick test_chain_model_checks_self_stabilization;
     Alcotest.test_case "chain correct config zero" `Quick test_chain_correct_config_time_zero;
     Alcotest.test_case "chain worst witness" `Quick test_chain_worst_witness;
+    Alcotest.test_case "chain pinned values" `Quick test_chain_pinned_values;
+    Alcotest.test_case "chain pinned configurations" `Quick test_chain_pinned_configurations;
     Alcotest.test_case "chain matches simulation" `Slow test_chain_matches_simulation;
     Alcotest.test_case "chain matches engine across configs" `Slow
       test_chain_matches_engine_across_configurations;
