@@ -1,12 +1,15 @@
-(** Exhaustive small-population model checking.
+(** Exhaustive small-population model checking and exact hitting times.
 
     For population sizes where the configuration space [C(s + n - 1, n)]
-    fits the budget, builds the {e complete} configuration graph — nodes
-    are admissible multisets over the declared states, edges are single
-    interactions, with every synthetic-coin outcome of every applicable
-    ordered state pair — and decides the declared stabilization property
-    of {e every} initial configuration at once via the graph's bottom
-    strongly connected components (iterative Tarjan):
+    fits the budget, builds the {e complete} weighted configuration chain
+    once: nodes are admissible multisets over the declared states, edges
+    are single interactions with every synthetic-coin outcome of every
+    applicable ordered state pair, weighted by the probability that the
+    uniform scheduler draws the pair and the coins produce the outcome
+    (from {!Relation}'s weighted table). It then decides the declared
+    stabilization property of {e every} initial configuration at once via
+    the support's bottom strongly connected components (iterative
+    Tarjan):
 
     - {e silent-stabilizing}: every bottom SCC is a singleton (hence
       absorbing, hence silent) satisfying [correct] — so from any
@@ -20,9 +23,18 @@
       configuration (correctness recurs infinitely often).
 
     Also verifies that the admissible region is transition-closed. The
-    pair-outcome table, per-configuration correctness flags and successor
-    lists are built in parallel over the {!Engine.Pool}; Tarjan runs
-    sequentially. Budget overruns produce a [Skip], not a failure. *)
+    pair-outcome table, per-configuration correctness flags and weighted
+    successor lists are built in parallel over the {!Engine.Pool}; Tarjan
+    runs sequentially. Budget overruns produce a [Skip], not a failure.
+
+    The same chain answers the exact oracle's queries ({!chain}): the
+    expected parallel time to reach the {e target}, the correct
+    configurations of bottom SCCs (for a silent protocol, the silent
+    correct ones), from every configuration. They solve (I − Q)x = 1 by
+    sparse Gauss–Seidel sweeps in reverse topological order of the
+    components, stopped on a residual bound of 1e-13 relative to the
+    largest time; a solve that has not converged after 10000 sweeps
+    raises [Failure], so no unconverged value is ever returned. *)
 
 val gate :
   max_configs:int -> 'a Engine.Enumerable.t -> 'a Statespace.t -> [ `Run | `Skip of Report.stage ]
@@ -35,6 +47,42 @@ val check :
 (** Run the check against an already-scanned relation (must have been
     scanned with [keep_tables:true]; raises [Invalid_argument] otherwise). *)
 
-val run : pool:Engine.Pool.t -> max_configs:int -> 'a Engine.Enumerable.t -> 'a Statespace.t -> Report.stage
-(** [gate] + a fresh relation scan + [check] — for callers that do not
-    share the scan with the closure stage. *)
+type 'a chain
+(** The weighted configuration chain of one descriptor, with the verdict
+    {!check} reports and its hitting times (solved on the first query that needs them; do
+    not query one chain from two domains at once). *)
+
+val chain : pool:Engine.Pool.t -> 'a Engine.Enumerable.t -> 'a chain
+(** Scans the relation and builds the chain over every admissible
+    configuration, with no budget: the caller picks [n]. Raises [Failure]
+    when an outcome escapes the declared space or the admissible region
+    is not closed. *)
+
+val configurations : 'a chain -> int
+(** Number of admissible configurations. *)
+
+val absorbing : 'a chain -> int
+(** Number of configurations that every interaction leaves unchanged (as
+    a multiset of states). *)
+
+val all_absorbing_correct : 'a chain -> bool
+(** [true] iff every absorbing configuration satisfies [correct] — the
+    safety half of silent self-stabilization, checked exhaustively. *)
+
+val expected_time : 'a chain -> 'a array -> float
+(** [expected_time c config] is the exact expected {e parallel time}
+    (interactions / n) to reach the target from [config]. Raises
+    [Invalid_argument] if [config] has the wrong size, an undeclared
+    state or is inadmissible, and [Failure] carrying the findings of
+    the [model-check] verdict if it failed (some configuration never
+    reaches the target). *)
+
+val worst_expected_time : 'a chain -> float * 'a array
+(** The maximum over all configurations, with a witness: the first
+    configuration in {!Configs.iter} order within relative 1e-9 of the
+    maximum, so that exact ties do not depend on rounding. Raises like
+    {!expected_time}. *)
+
+val mean_expected_time : 'a chain -> float
+(** Average over all admissible configurations (uniform over the
+    configuration space). Raises like {!expected_time}. *)

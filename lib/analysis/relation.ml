@@ -12,8 +12,22 @@ type row = {
   first_escape : string option;  (* "(a, b)" of the row's first escaping pair *)
   violations : string list;
   violation_count : int;
-  table : (int * int) list array option;  (* per responder; meaningless rows with escapes *)
+  table : ((int * int) * float) list array option;  (* per responder; meaningless rows with escapes *)
 }
+
+(* The probability of one coin outcome: each draw picks one of [bound]
+   choices uniformly. *)
+let probability trace = List.fold_left (fun p (_, bound) -> p /. float_of_int bound) 1.0 trace
+
+let sum_by_key weighted =
+  List.stable_sort (fun (x, _) (y, _) -> compare x y) weighted
+  |> List.fold_left
+       (fun acc (key, p) ->
+         match acc with
+         | (key', q) :: rest when key' = key -> (key, q +. p) :: rest
+         | _ -> (key, p) :: acc)
+       []
+  |> List.rev
 
 let scan_row (e : _ Engine.Enumerable.t) space ~keep_tables i =
   let p = e.Engine.Enumerable.protocol in
@@ -73,10 +87,10 @@ let scan_row (e : _ Engine.Enumerable.t) space ~keep_tables i =
         let ia = side "initiator" a' in
         let ib = side "responder" b' in
         match (ia, ib) with
-        | Some ia, Some ib -> indexed := (ia, ib) :: !indexed
+        | Some ia, Some ib -> indexed := ((ia, ib), probability trace) :: !indexed
         | _ -> ())
       outs;
-    Option.iter (fun t -> t.(j) <- List.sort_uniq compare !indexed) table
+    Option.iter (fun t -> t.(j) <- sum_by_key (List.rev !indexed)) table
   done;
   {
     outcomes = !outcomes;
@@ -91,7 +105,7 @@ let scan_row (e : _ Engine.Enumerable.t) space ~keep_tables i =
 type 'a t = {
   closure : Report.stage;
   lint : Report.stage;
-  tables : (int * int) list array array option;
+  tables : ((int * int) * float) list array array option;
   escape_pair : string option;
   outcomes : int;
 }

@@ -36,10 +36,10 @@ let run ~mode ~seed ~jobs =
   in
   List.iter
     (fun n ->
-      let protocol = Core.Silent_n_state.protocol ~n in
-      let codec = Exact.Chain.silent_n_state_codec ~n in
-      let a = Exact.Chain.analyze ~protocol ~codec in
-      let exact, witness = Exact.Chain.worst_expected_time a in
+      let e = Core.Silent_n_state.enumerable ~n in
+      let protocol = e.Engine.Enumerable.protocol in
+      let a = Engine.Pool.with_pool ~jobs (fun pool -> Analysis.Model_check.chain ~pool e) in
+      let exact, witness = Analysis.Model_check.worst_expected_time a in
       let count_mean =
         simulate ~engine:Engine.Exec.Count ~protocol ~init:witness ~jobs ~trials ~seed
       in
@@ -50,9 +50,9 @@ let run ~mode ~seed ~jobs =
       Stats.Table.add_row table
         [
           string_of_int n;
-          string_of_int (Exact.Chain.configurations a);
-          string_of_int (Exact.Chain.absorbing a);
-          string_of_bool (Exact.Chain.all_absorbing_correct a);
+          string_of_int (Analysis.Model_check.configurations a);
+          string_of_int (Analysis.Model_check.absorbing a);
+          string_of_bool (Analysis.Model_check.all_absorbing_correct a);
           Stats.Table.cell_float ~decimals:3 exact;
           Stats.Table.cell_float ~decimals:3 count_mean;
           Stats.Table.cell_float ~decimals:3 array_mean;

@@ -8,9 +8,11 @@
 
    - a two-sample KS test between the engines' time samples (α = 0.01,
      the most generous level, on fixed seeds);
-   - both engines' sample means against the exact Markov-chain expected
-     absorption time from Exact.Chain, within normal CI bounds (n ≤ 5,
-     where exhaustive enumeration is cheap). *)
+   - both engines' sample means against the exact expected absorption
+     time, solved on the weighted configuration chain of
+     Analysis.Model_check from the protocol's Enumerable descriptor,
+     within normal CI bounds (n ≤ 5, where exhaustive enumeration is
+     cheap). *)
 
 let trials = 200
 
@@ -56,10 +58,11 @@ let test_engines_agree_in_law () =
     [ 4; 5; 6 ]
 
 let exact_expected_time ~n =
-  let protocol = Core.Silent_n_state.protocol ~n in
-  let codec = Exact.Chain.silent_n_state_codec ~n in
-  let analysis = Exact.Chain.analyze ~protocol ~codec in
-  Exact.Chain.expected_time analysis (Core.Scenarios.silent_worst_case ~n)
+  let chain =
+    Engine.Pool.with_pool ~jobs:1 (fun pool ->
+        Analysis.Model_check.chain ~pool (Core.Silent_n_state.enumerable ~n))
+  in
+  Analysis.Model_check.expected_time chain (Core.Scenarios.silent_worst_case ~n)
 
 let check_mean_matches_exact ~label ~exact xs =
   let mean = Stats.Summary.mean xs in

@@ -1,54 +1,9 @@
-(* Tests for the exact Markov-chain analysis. *)
+(* Tests for the exact oracle: expected stabilization times solved on the
+   weighted configuration chain of Analysis.Model_check. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let feq tol = Alcotest.(check (float tol))
-
-(* Linear solver *)
-
-let test_solve_identity () =
-  let a = [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |] in
-  let x = Exact.Linear.solve a [| 3.0; -2.0 |] in
-  feq 1e-12 "x0" 3.0 x.(0);
-  feq 1e-12 "x1" (-2.0) x.(1)
-
-let test_solve_known_system () =
-  (* 2x + y = 5; x - y = 1  =>  x = 2, y = 1 *)
-  let a = [| [| 2.0; 1.0 |]; [| 1.0; -1.0 |] |] in
-  let x = Exact.Linear.solve a [| 5.0; 1.0 |] in
-  feq 1e-12 "x" 2.0 x.(0);
-  feq 1e-12 "y" 1.0 x.(1)
-
-let test_solve_needs_pivoting () =
-  (* zero pivot in the natural order *)
-  let a = [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let x = Exact.Linear.solve a [| 7.0; 9.0 |] in
-  feq 1e-12 "x" 9.0 x.(0);
-  feq 1e-12 "y" 7.0 x.(1)
-
-let test_solve_singular () =
-  let a = [| [| 1.0; 1.0 |]; [| 2.0; 2.0 |] |] in
-  Alcotest.check_raises "singular" (Failure "Linear.solve: singular matrix") (fun () ->
-      ignore (Exact.Linear.solve a [| 1.0; 2.0 |]))
-
-let test_solve_random_residual () =
-  let rng = Prng.create ~seed:5 in
-  let n = 20 in
-  let a = Array.init n (fun _ -> Array.init n (fun _ -> Prng.float rng -. 0.5)) in
-  (* diagonal dominance keeps it well-conditioned *)
-  for i = 0 to n - 1 do
-    a.(i).(i) <- a.(i).(i) +. 10.0
-  done;
-  let b = Array.init n (fun _ -> Prng.float rng) in
-  let a_copy = Array.map Array.copy a in
-  let x = Exact.Linear.solve a_copy b in
-  check_bool "residual tiny" true (Exact.Linear.max_abs_residual a x b < 1e-9)
-
-let test_mat_vec () =
-  let a = [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let y = Exact.Linear.mat_vec a [| 1.0; 1.0 |] in
-  feq 1e-12 "row0" 3.0 y.(0);
-  feq 1e-12 "row1" 7.0 y.(1)
 
 (* Chain analysis of Silent-n-state-SSR *)
 
@@ -56,10 +11,11 @@ let binomial n k =
   let rec go acc i = if i > k then acc else go (acc * (n - k + i) / i) (i + 1) in
   go 1 1
 
-let analysis n =
-  Exact.Chain.analyze
-    ~protocol:(Core.Silent_n_state.protocol ~n)
-    ~codec:(Exact.Chain.silent_n_state_codec ~n)
+module Chain = Analysis.Model_check
+
+let chain e = Engine.Pool.with_pool ~jobs:1 (fun pool -> Chain.chain ~pool e)
+
+let analysis n = chain (Core.Silent_n_state.enumerable ~n)
 
 let test_chain_config_counts () =
   List.iter
@@ -68,30 +24,43 @@ let test_chain_config_counts () =
       check_int
         (Printf.sprintf "C(2n-1, n-1) configurations at n=%d" n)
         (binomial ((2 * n) - 1) (n - 1))
-        (Exact.Chain.configurations a))
+        (Chain.configurations a))
     [ 3; 4; 5 ]
 
 let test_chain_model_checks_self_stabilization () =
   List.iter
     (fun n ->
       let a = analysis n in
-      check_int "unique absorbing configuration" 1 (Exact.Chain.absorbing a);
-      check_bool "the silent configuration is correct" true (Exact.Chain.all_absorbing_correct a))
+      check_int "unique absorbing configuration" 1 (Chain.absorbing a);
+      check_bool "the silent configuration is correct" true (Chain.all_absorbing_correct a))
     [ 3; 4; 5; 6 ]
 
 let test_chain_correct_config_time_zero () =
   let n = 4 in
   let a = analysis n in
-  feq 1e-12 "already stable" 0.0 (Exact.Chain.expected_time a (Core.Scenarios.silent_correct ~n))
+  feq 1e-12 "already stable" 0.0 (Chain.expected_time a (Core.Scenarios.silent_correct ~n))
 
 let test_chain_worst_witness () =
   let n = 5 in
   let a = analysis n in
-  let worst, witness = Exact.Chain.worst_expected_time a in
+  let worst, witness = Chain.worst_expected_time a in
   check_int "witness is a configuration" n (Array.length witness);
   check_bool "worst positive" true (worst > 0.0);
-  feq 1e-9 "witness attains the worst value" worst (Exact.Chain.expected_time a witness);
-  check_bool "mean below worst" true (Exact.Chain.mean_expected_time a < worst)
+  feq 1e-9 "witness attains the worst value" worst (Chain.expected_time a witness);
+  check_bool "mean below worst" true (Chain.mean_expected_time a < worst)
+
+(* Silent-n-state is rotation-symmetric, so the n "all agents in state k"
+   configurations tie exactly; the witness is the first of them in
+   enumeration order, whatever the solve's last bits say. *)
+let test_chain_worst_witness_all_zero () =
+  List.iter
+    (fun n ->
+      let _, witness = Chain.worst_expected_time (analysis n) in
+      check_bool
+        (Printf.sprintf "witness is all-zero at n=%d" n)
+        true
+        (witness = Core.Scenarios.silent_all_zero ~n))
+    [ 3; 4; 5; 6 ]
 
 (* The dense solve's values, pinned so that any rewrite of the chain
    reproduces them: worst and mean expected parallel times, the
@@ -102,10 +71,10 @@ let test_chain_pinned_values () =
     (fun (n, configs, worst, mean) ->
       let a = analysis n in
       let label what = Printf.sprintf "%s at n=%d" what n in
-      check_int (label "configurations") configs (Exact.Chain.configurations a);
-      check_int (label "absorbing") 1 (Exact.Chain.absorbing a);
-      feq 1e-9 (label "worst") worst (fst (Exact.Chain.worst_expected_time a));
-      feq 1e-9 (label "mean") mean (Exact.Chain.mean_expected_time a))
+      check_int (label "configurations") configs (Chain.configurations a);
+      check_int (label "absorbing") 1 (Chain.absorbing a);
+      feq 1e-9 (label "worst") worst (fst (Chain.worst_expected_time a));
+      feq 1e-9 (label "mean") mean (Chain.mean_expected_time a))
     [
       (3, 10, 2.333333333333333, 1.5999999999999996);
       (4, 35, 5.5000000000000009, 3.9000000000000008);
@@ -119,7 +88,7 @@ let test_chain_pinned_configurations () =
   List.iter
     (fun (ranks, expected) ->
       let init = Array.map (Core.Silent_n_state.state_of_rank0 ~n) ranks in
-      feq 1e-9 "expected time" expected (Exact.Chain.expected_time a init))
+      feq 1e-9 "expected time" expected (Chain.expected_time a init))
     [
       ([| 0; 0; 0; 0; 0 |], 9.923958333333335);
       ([| 0; 0; 1; 2; 3 |], 8.0000000000000018);
@@ -140,7 +109,7 @@ let test_chain_matches_simulation () =
   let protocol = Core.Silent_n_state.protocol ~n in
   let a = analysis n in
   let init = Core.Scenarios.silent_worst_case ~n in
-  let exact = Exact.Chain.expected_time a init in
+  let exact = Chain.expected_time a init in
   let trials = 4000 in
   let root = Prng.create ~seed:31 in
   let acc = ref 0.0 in
@@ -173,7 +142,7 @@ let test_chain_matches_engine_across_configurations () =
   List.iter
     (fun ranks ->
       let init = Array.map (Core.Silent_n_state.state_of_rank0 ~n) ranks in
-      let exact = Exact.Chain.expected_time a init in
+      let exact = Chain.expected_time a init in
       if exact = 0.0 then
         check_bool "correct configuration has zero time" true true
       else begin
@@ -192,32 +161,73 @@ let test_chain_matches_engine_across_configurations () =
       end)
     configs
 
-let test_chain_rejects_randomized () =
-  let n = 3 in
-  let p = { (Core.Silent_n_state.protocol ~n) with Engine.Protocol.deterministic = false } in
-  Alcotest.check_raises "randomized rejected"
-    (Invalid_argument "Chain.analyze: protocol is randomized") (fun () ->
-      ignore (Exact.Chain.analyze ~protocol:p ~codec:(Exact.Chain.silent_n_state_codec ~n)))
+(* A two-agent, two-state randomized descriptor: a (0, 0) meeting moves
+   the responder to 1 when [move] says so, every other meeting is null.
+   Configurations with no agent at 0 are inadmissible, so {0, 0} -> {0, 1}
+   is the whole chain and the expected time is 1 / P(move) interactions. *)
+let coin_descriptor ~max_draws move : int Engine.Enumerable.t =
+  let protocol : int Engine.Protocol.t =
+    {
+      Engine.Protocol.name = "coin-step";
+      n = 2;
+      transition = (fun rng a b -> if a = 0 && b = 0 && move rng then (0, 1) else (a, b));
+      deterministic = false;
+      equal = Int.equal;
+      pp = Format.pp_print_int;
+      rank = (fun s -> Some (s + 1));
+      is_leader = (fun s -> s = 0);
+    }
+  in
+  Engine.Enumerable.make ~protocol ~states:[ 0; 1 ] ~max_draws
+    ~admissible:(Array.exists (( = ) 0))
+    ()
 
-(* A two-state protocol that swaps A and B forever has a recurrent
-   non-absorbing configuration {A, B}: analyze must refuse. *)
-let swapping_protocol ~n : int Engine.Protocol.t =
-  {
-    Engine.Protocol.name = "swap-forever";
-    n;
-    transition = (fun _ a b -> if a <> b then (b, a) else (a, b));
-    deterministic = true;
-    equal = Int.equal;
-    pp = Format.pp_print_int;
-    rank = (fun s -> Some (s + 1));
-    is_leader = (fun s -> s = 0);
-  }
+let test_chain_weights_randomized () =
+  (* one fair coin: 2 interactions, parallel time 1 *)
+  let a = chain (coin_descriptor ~max_draws:1 (fun rng -> Prng.int rng 2 = 1)) in
+  check_int "two admissible configurations" 2 (Chain.configurations a);
+  feq 1e-12 "one coin" 1.0 (Chain.expected_time a [| 0; 0 |]);
+  feq 1e-12 "already correct" 0.0 (Chain.expected_time a [| 1; 0 |]);
+  (* a 1/2 coin, then on failure a 1/3 one: P(move) = 1/2 + 1/6 = 2/3,
+     1.5 interactions, parallel time 0.75; the two non-moving outcomes
+     have equal outputs and are summed *)
+  let a =
+    chain
+      (coin_descriptor ~max_draws:2 (fun rng -> Prng.int rng 2 = 1 || Prng.int rng 3 = 0))
+  in
+  feq 1e-12 "two coins" 0.75 (Chain.expected_time a [| 0; 0 |])
+
+(* A livelock: two agents in the same state both flip, so {0, 0} and
+   {1, 1} alternate forever. (A protocol that swaps distinct states would
+   not do: the configuration is a multiset, which a swap leaves as it
+   is.) The verdict names the non-silent bottom SCC, and no hitting time
+   is solved. *)
+let flip_forever : int Engine.Enumerable.t =
+  let protocol : int Engine.Protocol.t =
+    {
+      Engine.Protocol.name = "flip-forever";
+      n = 2;
+      transition = (fun _ a b -> if a = b then (1 - a, 1 - b) else (a, b));
+      deterministic = true;
+      equal = Int.equal;
+      pp = Format.pp_print_int;
+      rank = (fun s -> Some (s + 1));
+      is_leader = (fun s -> s = 0);
+    }
+  in
+  Engine.Enumerable.make ~protocol ~states:[ 0; 1 ] ()
 
 let test_chain_detects_livelock () =
-  let codec = { Exact.Chain.size = 2; index = Fun.id; state = Fun.id } in
-  Alcotest.check_raises "livelock detected"
-    (Failure "Chain.analyze: non-absorbing recurrent class") (fun () ->
-      ignore (Exact.Chain.analyze ~protocol:(swapping_protocol ~n:2) ~codec))
+  let a = chain flip_forever in
+  match Chain.expected_time a [| 0; 0 |] with
+  | exception Failure msg ->
+      check_bool
+        (Printf.sprintf "%S names the non-silent bottom SCC" msg)
+        true
+        (String.starts_with
+           ~prefix:"Model_check: no hitting times: bottom SCC of 2 configurations is not silent"
+           msg)
+  | t -> Alcotest.failf "expected_time returned %g on a livelock" t
 
 (* A protocol with only null transitions is silent everywhere, and most of
    its configurations are incorrect: the safety model-check must say no. *)
@@ -234,29 +244,23 @@ let test_chain_flags_incorrect_absorbing () =
       is_leader = (fun s -> s = 0);
     }
   in
-  let codec = { Exact.Chain.size = 3; index = Fun.id; state = Fun.id } in
-  let a = Exact.Chain.analyze ~protocol:inert ~codec in
-  check_int "everything absorbing" (Exact.Chain.configurations a) (Exact.Chain.absorbing a);
-  check_bool "incorrect silent configurations flagged" false (Exact.Chain.all_absorbing_correct a)
+  let a = chain (Engine.Enumerable.make ~protocol:inert ~states:[ 0; 1; 2 ] ()) in
+  check_int "everything absorbing" (Chain.configurations a) (Chain.absorbing a);
+  check_bool "incorrect silent configurations flagged" false (Chain.all_absorbing_correct a)
 
 let suite =
   [
-    Alcotest.test_case "solve identity" `Quick test_solve_identity;
-    Alcotest.test_case "solve known system" `Quick test_solve_known_system;
-    Alcotest.test_case "solve with pivoting" `Quick test_solve_needs_pivoting;
-    Alcotest.test_case "solve singular" `Quick test_solve_singular;
-    Alcotest.test_case "solve residual" `Quick test_solve_random_residual;
-    Alcotest.test_case "mat_vec" `Quick test_mat_vec;
     Alcotest.test_case "chain config counts" `Quick test_chain_config_counts;
     Alcotest.test_case "chain model-checks stabilization" `Quick test_chain_model_checks_self_stabilization;
     Alcotest.test_case "chain correct config zero" `Quick test_chain_correct_config_time_zero;
     Alcotest.test_case "chain worst witness" `Quick test_chain_worst_witness;
+    Alcotest.test_case "chain worst witness is all-zero" `Quick test_chain_worst_witness_all_zero;
     Alcotest.test_case "chain pinned values" `Quick test_chain_pinned_values;
     Alcotest.test_case "chain pinned configurations" `Quick test_chain_pinned_configurations;
     Alcotest.test_case "chain matches simulation" `Slow test_chain_matches_simulation;
     Alcotest.test_case "chain matches engine across configs" `Slow
       test_chain_matches_engine_across_configurations;
-    Alcotest.test_case "chain rejects randomized" `Quick test_chain_rejects_randomized;
+    Alcotest.test_case "chain weights a randomized descriptor" `Quick test_chain_weights_randomized;
     Alcotest.test_case "chain detects livelock" `Quick test_chain_detects_livelock;
     Alcotest.test_case "chain flags incorrect absorbing" `Quick test_chain_flags_incorrect_absorbing;
   ]
