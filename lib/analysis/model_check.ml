@@ -58,14 +58,17 @@ let tarjan succs =
    is m_a·m_b, or m_a·(m_a - 1) for a = b; each of its outcomes then
    follows with the outcome's own probability. Returns the destination
    ids in increasing order (the configuration itself included when some
-   interaction leaves it unchanged) with their summed probabilities. Key
-   misses mean the admissible region is not transition-closed (the
+   interaction leaves it unchanged) with their summed probabilities,
+   whether some interaction changes an agent's state (a swap of distinct
+   states does, though it maps the multiset to itself), and the key
+   misses, which mean the admissible region is not transition-closed (the
    enumeration covers every configuration over the declared states). *)
 let successors ~states ~pair_rows ~key_to_id idx =
   let mults = Configs.multiplicities idx in
   let n = Array.length idx in
   let pairs = float_of_int (n * (n - 1)) in
   let out = ref [] in
+  let moves = ref false in
   let misses = ref [] in
   List.iter
     (fun (a, ma) ->
@@ -75,6 +78,7 @@ let successors ~states ~pair_rows ~key_to_id idx =
           if w > 0 then
             List.iter
               (fun ((a', b'), p) ->
+                if a' <> a || b' <> b then moves := true;
                 let next = Configs.replace_pair idx ~a ~b ~a' ~b' in
                 match Hashtbl.find_opt key_to_id (Configs.key ~states next) with
                 | Some id' -> out := (id', float_of_int w /. pairs *. p) :: !out
@@ -82,7 +86,7 @@ let successors ~states ~pair_rows ~key_to_id idx =
               pair_rows.(a).(b))
         mults)
     mults;
-  (Relation.sum_by_key (List.rev !out), !misses)
+  (Relation.sum_by_key (List.rev !out), !moves, !misses)
 
 (* Budget gate, separated from the check so the driver can decide whether
    the shared pair-outcome relation ({!Relation}) must retain its Θ(s²)
@@ -110,7 +114,7 @@ type 'a chain = {
   configs : int array array;  (* sorted state indices, in Configs.iter order *)
   key_to_id : (int, int) Hashtbl.t;
   correct : bool array;
-  succ : int array array;  (* destination ids, increasing *)
+  moves : bool array;  (* some interaction changes an agent's state *)
   verdict : Report.stage;
   times : float array Lazy.t;  (* expected interactions to the target set *)
 }
@@ -123,9 +127,11 @@ let max_sweeps = 10_000
    components in reverse topological order, so sweeping by increasing
    component visits successors first and the acyclic part of the chain
    is exact after one sweep. Stops once every row's residual is below
-   1e-13·max(1, |x|∞); raises past [max_sweeps], so an unconverged value
-   is never returned. Every non-target configuration must reach the
-   target, which a passing verdict guarantees. *)
+   1e-13·max(1, |x|∞), which bounds the relative error by about
+   1e-13·max(1, |x|∞) since |(I - Q)^-1|∞ = |x|∞; raises past
+   [max_sweeps] rather than return a value whose residual is above the
+   bound. Every non-target configuration must reach the target, which a
+   passing verdict guarantees. *)
 let solve ~succ ~prob ~comp ~target =
   let total = Array.length succ in
   let rows =
@@ -205,9 +211,10 @@ let build ~pool ~relation (e : _ Engine.Enumerable.t) space =
         Engine.Pool.init pool total (fun id ->
             successors ~states:s ~pair_rows ~key_to_id configs.(id))
       in
-      let succ = Array.map (fun (out, _) -> Array.of_list (List.map fst out)) succ_results in
-      let prob = Array.map (fun (out, _) -> Array.of_list (List.map snd out)) succ_results in
-      let inadmissible = Array.to_list succ_results |> List.concat_map snd in
+      let succ = Array.map (fun (out, _, _) -> Array.of_list (List.map fst out)) succ_results in
+      let prob = Array.map (fun (out, _, _) -> Array.of_list (List.map snd out)) succ_results in
+      let moves = Array.map (fun (_, moves, _) -> moves) succ_results in
+      let inadmissible = Array.to_list succ_results |> List.concat_map (fun (_, _, m) -> m) in
       if inadmissible <> [] then
         Error
           (Report.finish
@@ -245,8 +252,9 @@ let build ~pool ~relation (e : _ Engine.Enumerable.t) space =
             if bottom.(c) then
               match e.Engine.Enumerable.expectation with
               | Engine.Enumerable.Silent_stabilizing ->
-                  (* a singleton bottom SCC is absorbing, hence silent;
-                     a larger one keeps moving forever *)
+                  (* a larger bottom SCC keeps moving forever; a singleton
+                     one is silent unless some interaction changes agents'
+                     states without changing the multiset (a swap) *)
                   if comp_size.(c) > 1 then begin
                     if not reported.(c) then begin
                       reported.(c) <- true;
@@ -255,6 +263,10 @@ let build ~pool ~relation (e : _ Engine.Enumerable.t) space =
                             comp_size.(c) (pp_cfg u))
                     end
                   end
+                  else if moves.(u) then
+                    record (fun () ->
+                        "bottom configuration is not silent (an interaction swaps states): "
+                        ^ pp_cfg u)
                   else if not correct.(u) then
                     record (fun () -> "silent bottom configuration is incorrect: " ^ pp_cfg u)
               | Engine.Enumerable.Stabilizing ->
@@ -290,7 +302,7 @@ let build ~pool ~relation (e : _ Engine.Enumerable.t) space =
             configs;
             key_to_id;
             correct;
-            succ;
+            moves;
             verdict;
             times = lazy (solve ~succ ~prob ~comp ~target);
           }
@@ -309,8 +321,7 @@ let chain ~pool (e : _ Engine.Enumerable.t) =
 
 let configurations t = Array.length t.configs
 
-let absorbing_ids t =
-  List.filter (fun id -> Array.for_all (( = ) id) t.succ.(id)) (List.init (configurations t) Fun.id)
+let absorbing_ids t = List.filter (fun id -> not t.moves.(id)) (List.init (configurations t) Fun.id)
 
 let absorbing t = List.length (absorbing_ids t)
 

@@ -11,8 +11,10 @@
     the support's bottom strongly connected components (iterative
     Tarjan):
 
-    - {e silent-stabilizing}: every bottom SCC is a singleton (hence
-      absorbing, hence silent) satisfying [correct] — so from any
+    - {e silent-stabilizing}: every bottom SCC is a singleton in which
+      no interaction changes any agent's state (hence silent: a swap of
+      two distinct states maps the multiset to itself, but is refused)
+      satisfying [correct] — so from any
       configuration the protocol reaches, with probability 1 under the
       uniform scheduler, a silent correct configuration and stays there.
       This is the paper's SSR/SSLE guarantee (Theorem 4.6 for
@@ -32,9 +34,13 @@
     configurations of bottom SCCs (for a silent protocol, the silent
     correct ones), from every configuration. They solve (I − Q)x = 1 by
     sparse Gauss–Seidel sweeps in reverse topological order of the
-    components, stopped on a residual bound of 1e-13 relative to the
-    largest time; a solve that has not converged after 10000 sweeps
-    raises [Failure], so no unconverged value is ever returned. *)
+    components, stopped once the residual ‖1 − (I − Q)x‖∞ is at most
+    1e-13·max(1, ‖x‖∞). That bounds the residual, not the error: since
+    ‖(I − Q)⁻¹‖∞ is the largest hitting time, the error relative to the
+    largest time is at most about 1e-13·max(1, ‖x‖∞) (in interactions),
+    so slowly mixing chains with long hitting times get fewer correct
+    digits. A solve whose residual is still above the bound after 10000
+    sweeps raises [Failure] instead of returning. *)
 
 val gate :
   max_configs:int -> 'a Engine.Enumerable.t -> 'a Statespace.t -> [ `Run | `Skip of Report.stage ]
@@ -62,8 +68,9 @@ val configurations : 'a chain -> int
 (** Number of admissible configurations. *)
 
 val absorbing : 'a chain -> int
-(** Number of configurations that every interaction leaves unchanged (as
-    a multiset of states). *)
+(** Number of silent configurations: those in which no interaction
+    changes any agent's state (a swap of two distinct states counts as a
+    change, though the multiset stays the same). *)
 
 val all_absorbing_correct : 'a chain -> bool
 (** [true] iff every absorbing configuration satisfies [correct] — the

@@ -197,17 +197,19 @@ let test_chain_weights_randomized () =
   in
   feq 1e-12 "two coins" 0.75 (Chain.expected_time a [| 0; 0 |])
 
-(* A livelock: two agents in the same state both flip, so {0, 0} and
-   {1, 1} alternate forever. (A protocol that swaps distinct states would
-   not do: the configuration is a multiset, which a swap leaves as it
-   is.) The verdict names the non-silent bottom SCC, and no hitting time
+(* Two livelocks on two agents and two states. flip-forever: two agents
+   in the same state both flip, so {0, 0} and {1, 1} alternate forever, a
+   bottom SCC of two configurations. swap-forever: distinct states swap,
+   so {0, 1} maps to itself as a multiset while its agents keep changing
+   state, a bottom SCC of one configuration that is not silent. The
+   verdict names the non-silent bottom SCC in both, and no hitting time
    is solved. *)
-let flip_forever : int Engine.Enumerable.t =
+let two_state_descriptor name transition : int Engine.Enumerable.t =
   let protocol : int Engine.Protocol.t =
     {
-      Engine.Protocol.name = "flip-forever";
+      Engine.Protocol.name;
       n = 2;
-      transition = (fun _ a b -> if a = b then (1 - a, 1 - b) else (a, b));
+      transition = (fun _ a b -> transition a b);
       deterministic = true;
       equal = Int.equal;
       pp = Format.pp_print_int;
@@ -217,17 +219,34 @@ let flip_forever : int Engine.Enumerable.t =
   in
   Engine.Enumerable.make ~protocol ~states:[ 0; 1 ] ()
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let swap_forever = two_state_descriptor "swap-forever" (fun a b -> if a <> b then (b, a) else (a, b))
+
 let test_chain_detects_livelock () =
-  let a = chain flip_forever in
-  match Chain.expected_time a [| 0; 0 |] with
-  | exception Failure msg ->
-      check_bool
-        (Printf.sprintf "%S names the non-silent bottom SCC" msg)
-        true
-        (String.starts_with
-           ~prefix:"Model_check: no hitting times: bottom SCC of 2 configurations is not silent"
-           msg)
-  | t -> Alcotest.failf "expected_time returned %g on a livelock" t
+  let livelocks =
+    [
+      ( two_state_descriptor "flip-forever" (fun a b -> if a = b then (1 - a, 1 - b) else (a, b)),
+        [| 0; 0 |],
+        "bottom SCC of 2 configurations is not silent" );
+      ( swap_forever,
+        [| 0; 1 |],
+        "bottom configuration is not silent (an interaction swaps states): [0, 1]" );
+    ]
+  in
+  List.iter
+    (fun (e, start, finding) ->
+      let a = chain e in
+      match Chain.expected_time a start with
+      | exception Failure msg ->
+          check_bool (Printf.sprintf "%S names %S" msg finding) true (contains ~sub:finding msg)
+      | t -> Alcotest.failf "expected_time returned %g on a livelock" t)
+    livelocks;
+  check_int "swap-forever: {0, 0} and {1, 1} are the only silent configurations" 2
+    (Chain.absorbing (chain swap_forever))
 
 (* A protocol with only null transitions is silent everywhere, and most of
    its configurations are incorrect: the safety model-check must say no. *)
