@@ -465,6 +465,106 @@ let test_star_lumping_silent_but_incorrect () =
   in
   Alcotest.(check (option bool)) "complete graph: live" (Some false) (Engine.Count_sim.silent cs)
 
+(* ---------- pinned productive-pair selection ---------- *)
+
+(* One line per run: events, interactions, pairs probed, productive pairs
+   and the md5 of the final snapshot's printed states. Every productive
+   hit selects its pair from the recorded pairs of its class pair, so
+   these lines change as soon as the selection picks a different pair
+   for some target, or draws a different number of random values. *)
+let pin_line label p cs =
+  let snap = Engine.Count_sim.snapshot cs in
+  let printed =
+    String.concat ";" (Array.to_list (Array.map (Format.asprintf "%a" p.Engine.Protocol.pp) snap))
+  in
+  Printf.sprintf "%s events=%d interactions=%d probed=%d productive=%d md5=%s" label
+    (Engine.Count_sim.events cs) (Engine.Count_sim.interactions cs)
+    (Engine.Count_sim.pairs_probed cs) (Engine.Count_sim.productive_pairs cs)
+    (Digest.to_hex (Digest.string printed))
+
+let pin_to_stability cs ~n =
+  ignore
+    (Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking ~max_interactions:(2000 * n * n)
+       ~confirm_interactions:(Engine.Runner.default_confirm ~n) (Engine.Exec.of_count_sim cs))
+
+let test_productive_selection_pinned () =
+  let n = 48 in
+  let params = Core.Params.optimal_silent n in
+  let p = Core.Optimal_silent.protocol ~params ~n () in
+  let uniform_start seed =
+    let rng = Prng.create ~seed in
+    (rng, Core.Scenarios.optimal_uniform rng ~params ~n)
+  in
+  (* count-dense's runs: one class pair, dense productive pairs *)
+  let dense =
+    List.map
+      (fun seed ->
+        let rng, init = uniform_start seed in
+        let cs = Engine.Count_sim.make ~protocol:p ~init ~rng () in
+        pin_to_stability cs ~n;
+        pin_line (Printf.sprintf "dense seed=%d" seed) p cs)
+      [ 1; 2; 3 ]
+  in
+  (* the complete tripartite graph K(4,12,32): three degree classes, six
+     scheduled class pairs, each with its own productive pairs *)
+  let sizes = [| 4; 12; 32 |] in
+  let class_of = Array.init n (fun i -> if i < 4 then 0 else if i < 16 then 1 else 2) in
+  let classes =
+    {
+      Engine.Topology.graph = "tripartite";
+      agents = n;
+      nc = 3;
+      class_of;
+      sizes;
+      members =
+        Array.init 3 (fun a ->
+            Array.of_list (List.filter (fun i -> class_of.(i) = a) (List.init n Fun.id)));
+      mix =
+        Array.init 3 (fun a -> Array.init 3 (fun b -> if a = b then 0 else sizes.(a) * sizes.(b)));
+      exact = true;
+    }
+  in
+  let lumped =
+    let rng, init = uniform_start 4 in
+    let cs = Engine.Count_sim.make ~classes ~protocol:p ~init ~rng () in
+    Engine.Runner.run_while (Engine.Exec.of_count_sim cs) ~max_interactions:(200 * n) (fun () ->
+        true);
+    pin_line "tripartite seed=4" p cs
+  in
+  (* corruption after the demotion to lazy mode: the cells it makes live
+     are never probed in bulk, only drawn, so their productive pairs are
+     recorded one at a time outside P *)
+  let corrupted =
+    let rng, init = uniform_start 5 in
+    let cs = Engine.Count_sim.make ~protocol:p ~init ~rng () in
+    Engine.Runner.run_while (Engine.Exec.of_count_sim cs) ~max_interactions:(2000 * n * n)
+      (fun () -> Engine.Count_sim.drained cs);
+    check_bool "demoted before the corruption" false (Engine.Count_sim.drained cs);
+    let demoted = pin_line "demoted seed=5" p cs in
+    ignore
+      (Engine.Count_sim.corrupt cs ~rng:(Prng.create ~seed:6) ~fraction:0.25 (fun rng ->
+           Core.Scenarios.optimal_random_state rng ~params ~n));
+    pin_to_stability cs ~n;
+    [ demoted; pin_line "corrupted seed=5" p cs ]
+  in
+  Alcotest.(check (list string))
+    "pinned runs"
+    [
+      "dense seed=1 events=7304 interactions=9842 probed=72778 productive=70994 \
+       md5=f77fdd902920056fbbf6ea5542b99885";
+      "dense seed=2 events=7147 interactions=9607 probed=73119 productive=71487 \
+       md5=b0c390d6a7e8a5fda4b73ff382ef77e4";
+      "dense seed=3 events=7604 interactions=11197 probed=73490 productive=71221 \
+       md5=bd2951bed2b7e117836028887724f0ae";
+      "tripartite seed=4 events=9261 interactions=9600 probed=73447 productive=72709 \
+       md5=4725c84b0cfc5a0c26700204ff3c8e1d";
+      "demoted seed=5 events=291 interactions=297 probed=66049 productive=65871 \
+       md5=8abdee8c41e1c35033eefa043beca0dd";
+      "corrupted seed=5 events=7256 interactions=10696 probed=73645 productive=71649 \
+       md5=1d8fd5cc73a8026d29cc9450108efa31";
+    ]
+    (dense @ [ lumped ] @ corrupted)
+
 let suite =
   [
     Alcotest.test_case "rejects randomized" `Quick test_rejects_randomized;
@@ -490,4 +590,5 @@ let suite =
     Alcotest.test_case "classes snapshot and faults" `Quick test_classes_snapshot_and_faults;
     Alcotest.test_case "star lumping silent but incorrect" `Quick
       test_star_lumping_silent_but_incorrect;
+    Alcotest.test_case "productive selection pinned" `Slow test_productive_selection_pinned;
   ]
