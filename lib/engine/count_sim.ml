@@ -74,14 +74,17 @@
    A hit is then drawn from the complement of the known-null set,
    weighted by pair mass: with avail = W + U (W productive mass, U
    unknown mass), an integer target below W selects a productive pair by
-   the usual weighted scan; otherwise a pair with at least one endpoint
-   outside P is drawn by Fenwick descent over the probed/unprobed class
-   masses and rejected while already known — the remaining law is
-   uniform over unknown pairs, as required. An unknown pair is probed on
-   the spot: a productive outcome is applied as the event; a null
-   outcome *is* the consumed interaction (no event) and, when admitted
-   to the cache, makes the skip stronger. In drained mode U = 0 and the
-   selection degenerates to the old engine's scan.
+   Fenwick descent over the class pair's recorded productive pairs, each
+   weighted by its current mass, in recording order (the pair a weighted
+   scan of that list would stop at, in O(log) rather than O(pairs));
+   otherwise a pair with at least one endpoint outside P is drawn by
+   Fenwick descent over the probed/unprobed class masses and rejected
+   while already known — the remaining law is uniform over unknown
+   pairs, as required. An unknown pair is probed on the spot: a
+   productive outcome is applied as the event; a null outcome *is* the
+   consumed interaction (no event) and, when admitted to the cache,
+   makes the skip stronger. In drained mode U = 0 and every hit is a
+   productive pair.
 
    == Silence ==
 
@@ -122,6 +125,10 @@ type veci = { mutable buf : int array; mutable len : int }
 
 let veci_make () = { buf = Array.make 8 0; len = 0 }
 
+(* The adjacency of a cell with no recorded pair, shared by all of them
+   (most cells of a large start never get one); never pushed into. *)
+let adj_empty = { buf = [||]; len = 0 }
+
 let veci_push v x =
   if v.len = Array.length v.buf then begin
     let b = Array.make (2 * v.len) 0 in
@@ -130,6 +137,10 @@ let veci_push v x =
   end;
   v.buf.(v.len) <- x;
   v.len <- v.len + 1
+
+let adj_push adj k x =
+  if adj.(k) == adj_empty then adj.(k) <- veci_make ();
+  veci_push adj.(k) x
 
 type 'a t = {
   protocol : 'a Protocol.t;
@@ -162,11 +173,14 @@ type 'a t = {
   cache : Paircache.t;
   probe_order : veci;  (* cells of P, insertion order *)
   mutable drained : bool;
-  (* productive adjacency: per-cell lists for incremental mass updates,
-     per-class-pair packed pair vectors for the selection scan *)
-  mutable p_out : int list array;
-  mutable p_in : int list array;
+  (* productive adjacency: per class pair, the recorded pairs (packed
+     keys) and a Fenwick tree over their masses, slot for slot; per cell,
+     the [adj_entry] of each pair it starts or ends, for incremental mass
+     updates *)
+  mutable p_out : veci array;
+  mutable p_in : veci array;
   plist : veci array;  (* nc*nc *)
+  pfen : Fenwick.t array;  (* nc*nc *)
   mutable productive_pairs : int;
   wp : int array;  (* nc*nc: productive mass, both endpoints in P *)
   wx : int array;  (* nc*nc: productive mass, not both in P *)
@@ -231,6 +245,10 @@ let outcome_snd v = v land (cell_limit - 1)
 
 let null_outcome = -1
 
+(* A productive adjacency entry: the pair's slot in its class pair, and
+   the cell at its other end. *)
+let adj_entry slot other = (slot lsl cell_bits) lor other
+
 let idx t a b = (a * t.nc) + b
 
 (* probed live mass of class a *)
@@ -267,20 +285,16 @@ let grow t =
   let cap = Array.length t.states in
   if t.d = cap then begin
     let new_cap = max 16 (2 * cap) in
-    let states = Array.make new_cap t.states.(0) in
-    Array.blit t.states 0 states 0 t.d;
-    let copy_int a = let b = Array.make new_cap 0 in Array.blit a 0 b 0 t.d; b in
-    let copy_bool a = let b = Array.make new_cap false in Array.blit a 0 b 0 t.d; b in
-    let copy_list a = let b = Array.make new_cap [] in Array.blit a 0 b 0 t.d; b in
-    t.states <- states;
-    t.cls <- copy_int t.cls;
-    t.counts <- copy_int t.counts;
-    t.slot <- copy_int t.slot;
-    t.in_p <- copy_bool t.in_p;
-    t.p_out <- copy_list t.p_out;
-    t.p_in <- copy_list t.p_in;
-    t.n_out <- copy_list t.n_out;
-    t.n_in <- copy_list t.n_in
+    let copy fill a = let b = Array.make new_cap fill in Array.blit a 0 b 0 t.d; b in
+    t.states <- copy t.states.(0) t.states;
+    t.cls <- copy 0 t.cls;
+    t.counts <- copy 0 t.counts;
+    t.slot <- copy 0 t.slot;
+    t.in_p <- copy false t.in_p;
+    t.p_out <- copy adj_empty t.p_out;
+    t.p_in <- copy adj_empty t.p_in;
+    t.n_out <- copy [] t.n_out;
+    t.n_in <- copy [] t.n_in
   end
 
 (* Interning is bucketed by the polymorphic hash: the engine requires
@@ -309,8 +323,8 @@ let intern t state cls_id =
       t.slot.(i) <- Fenwick.length t.fenx.(cls_id);
       Fenwick.append t.fenx.(cls_id);
       veci_push t.cell_of_slot_x.(cls_id) i;
-      t.p_out.(i) <- [];
-      t.p_in.(i) <- [];
+      t.p_out.(i) <- adj_empty;
+      t.p_in.(i) <- adj_empty;
       t.n_out.(i) <- [];
       t.n_in.(i) <- [];
       t.d <- t.d + 1;
@@ -327,31 +341,37 @@ let pair_weight t i j =
    always matches the insert-time classification. *)
 let pair_in_p t i j = t.in_p.(i) && t.in_p.(j)
 
-(* Add [sign] times the current mass of every known pair touching [k]
-   into the class-pair accumulators. O(degree of k). *)
-let accumulate_contribution t k sign =
-  let touch_productive i j =
-    let w = pair_weight t i j in
-    if w <> 0 then begin
-      let cp = idx t t.cls.(i) t.cls.(j) in
-      if pair_in_p t i j then t.wp.(cp) <- t.wp.(cp) + (sign * w)
-      else t.wx.(cp) <- t.wx.(cp) + (sign * w)
-    end
-  in
-  let touch_null i j =
-    let w = pair_weight t i j in
-    if w <> 0 then begin
-      let cp = idx t t.cls.(i) t.cls.(j) in
-      t.kn.(cp) <- t.kn.(cp) + (sign * w)
-    end
-  in
-  List.iter (fun j -> touch_productive k j) t.p_out.(k);
-  List.iter (fun i -> touch_productive i k) t.p_in.(k);
-  List.iter (fun j -> touch_null k j) t.n_out.(k);
-  List.iter (fun i -> touch_null i k) t.n_in.(k)
+(* Mass change of a pair of cell [k] with cell [other] (in either order)
+   while [k]'s count goes from [was] to [now]. *)
+let pair_shift t k other ~was ~now =
+  if other = k then (now * (now - 1)) - (was * (was - 1)) else (now - was) * t.counts.(other)
 
-let has_known_pair t k =
-  t.p_out.(k) <> [] || t.p_in.(k) <> [] || t.n_out.(k) <> [] || t.n_in.(k) <> []
+(* Shift productive pair (i, j), at [slot] of its class pair, by [d]. *)
+let shift_productive t i j slot d =
+  let cp = idx t t.cls.(i) t.cls.(j) in
+  if pair_in_p t i j then t.wp.(cp) <- t.wp.(cp) + d else t.wx.(cp) <- t.wx.(cp) + d;
+  Fenwick.add t.pfen.(cp) slot d
+
+let shift_null t i j d =
+  let cp = idx t t.cls.(i) t.cls.(j) in
+  t.kn.(cp) <- t.kn.(cp) + d
+
+(* Move the mass of every known pair touching [k] into the class-pair
+   accumulators and pair trees for [k]'s count going from [was] to
+   [now]; the other counts are unchanged. O(degree of k). *)
+let shift_known_pairs t k ~was ~now =
+  let each_productive adj f =
+    for u = 0 to adj.len - 1 do
+      let e = adj.buf.(u) in
+      let other = e land (cell_limit - 1) in
+      let d = pair_shift t k other ~was ~now in
+      if d <> 0 then f other (e lsr cell_bits) d
+    done
+  in
+  each_productive t.p_out.(k) (fun j slot d -> shift_productive t k j slot d);
+  each_productive t.p_in.(k) (fun i slot d -> shift_productive t i k slot d);
+  List.iter (fun j -> shift_null t k j (pair_shift t k j ~was ~now)) t.n_out.(k);
+  List.iter (fun i -> shift_null t i k (pair_shift t k i ~was ~now)) t.n_in.(k)
 
 (* The null-admission rule (see "Knowledge about pairs"): every live pair
    outside P x P fits in the budget, or this pair carries at least 1/B of
@@ -387,13 +407,15 @@ let probe t i j =
   else begin
     let i' = intern t si' t.cls.(i) and j' = intern t sj' t.cls.(j) in
     Paircache.add t.cache (pair_key i j) (pack_outcome i' j');
-    t.p_out.(i) <- j :: t.p_out.(i);
-    if i <> j then t.p_in.(j) <- i :: t.p_in.(j);
-    veci_push t.plist.(idx t t.cls.(i) t.cls.(j)) (pair_key i j);
-    t.productive_pairs <- t.productive_pairs + 1;
     let cp = idx t t.cls.(i) t.cls.(j) in
+    let slot = t.plist.(cp).len in
+    veci_push t.plist.(cp) (pair_key i j);
+    Fenwick.append t.pfen.(cp);
+    adj_push t.p_out i (adj_entry slot j);
+    if i <> j then adj_push t.p_in j (adj_entry slot i);
+    t.productive_pairs <- t.productive_pairs + 1;
     let w = pair_weight t i j in
-    if pair_in_p t i j then t.wp.(cp) <- t.wp.(cp) + w else t.wx.(cp) <- t.wx.(cp) + w;
+    if w <> 0 then shift_productive t i j slot w;
     Some (i', j')
   end
 
@@ -430,12 +452,9 @@ let on_liveness_gain t k =
   end
 
 let change_count t k delta =
-  (* a cell with no known pair contributes no mass: skip both walks *)
-  let known = has_known_pair t k in
-  if known then accumulate_contribution t k (-1);
   let was = t.counts.(k) in
+  shift_known_pairs t k ~was ~now:(was + delta);
   t.counts.(k) <- was + delta;
-  if known then accumulate_contribution t k 1;
   let f = if t.in_p.(k) then t.fenp else t.fenx in
   Fenwick.add f.(t.cls.(k)) t.slot.(k) delta;
   if delta > 0 then
@@ -518,9 +537,10 @@ let make ?classes ?init_probe ?null_budget ~protocol ~init ~rng () =
       cache;
       probe_order = veci_make ();
       drained = false;
-      p_out = Array.make 16 [];
-      p_in = Array.make 16 [];
+      p_out = Array.make 16 adj_empty;
+      p_in = Array.make 16 adj_empty;
       plist = Array.init (nc * nc) (fun _ -> veci_make ());
+      pfen = Array.init (nc * nc) (fun _ -> Fenwick.create ());
       productive_pairs = 0;
       wp = Array.make (nc * nc) 0;
       wx = Array.make (nc * nc) 0;
@@ -639,29 +659,13 @@ let select_class_pair t =
         !last
   end
 
-(* Weighted scan over the recorded productive pairs of a class pair:
-   integer [target] uniform below their total mass selects a pair
-   proportionally to c_i (c_j - [i=j]). *)
-let select_productive t a b target =
-  let v = t.plist.(idx t a b) in
-  let acc = ref 0 in
-  let found = ref (-1) in
-  (try
-     for u = 0 to v.len - 1 do
-       let key = v.buf.(u) in
-       let i = outcome_fst key and j = outcome_snd key in
-       let w = pair_weight t i j in
-       if w > 0 then begin
-         acc := !acc + w;
-         if !acc > target then begin
-           found := key;
-           raise Exit
-         end
-       end
-     done
-   with Exit -> ());
-  if !found < 0 then invalid_arg "Count_sim: productive mass accounting broke";
-  (outcome_fst !found, outcome_snd !found)
+(* The recorded productive pair of class pair [cp] that an integer
+   [target] uniform below their total mass selects, proportionally to
+   c_i (c_j - [i=j]): the first pair in recording order whose running
+   mass passes [target]. *)
+let select_productive t cp target =
+  let key = t.plist.(cp).buf.(Fenwick.find t.pfen.(cp) target) in
+  (outcome_fst key, outcome_snd key)
 
 (* The cell of the [target]-th agent of class [a], probed agents first. *)
 let cell_at t a target =
@@ -736,10 +740,11 @@ let hit t =
   let a, b = select_class_pair t in
   let cp = idx t a b in
   let w = t.wp.(cp) + t.wx.(cp) in
+  if Fenwick.total t.pfen.(cp) <> w then invalid_arg "Count_sim: productive mass accounting broke";
   let av = avail t a b in
   let target = Prng.int t.rng av in
   if target < w then begin
-    let i, j = select_productive t a b target in
+    let i, j = select_productive t cp target in
     match Paircache.find t.cache (pair_key i j) with
     | v when v <> Paircache.absent && v <> null_outcome ->
         apply_event t i j (outcome_fst v) (outcome_snd v)

@@ -372,20 +372,33 @@ let qcheck_excluded_draw =
 (* ---------- Fenwick descent against a linear scan ---------- *)
 
 let qcheck_find_matches_scan =
-  (* Lengths 1..70 cross the capacity doublings at 16, 32 and 64 slots;
+  (* Each operation appends a slot of weight [w] or, when [update] holds
+     and a slot exists, sets the weight of the earlier slot [pick mod
+     len] to [w]. Up to 140 operations cross the capacity doublings at
+     16, 32 and 64 slots after arbitrary earlier updates, so the growth
+     that copies only the partial sums is checked on a non-zero history;
      weight 0 is drawn often so that empty slots sit on every side of a
      descent's pivot. *)
   QCheck.Test.make ~name:"fenwick find and prefix equal a linear scan" ~count:500
-    QCheck.(list_of_size (Gen.int_range 1 70) (int_bound 3))
-    (fun weights ->
-      let weights = Array.of_list weights in
+    QCheck.(list_of_size (Gen.int_range 1 140) (triple bool small_nat (int_bound 3)))
+    (fun ops ->
       let f = Engine.Fenwick.create () in
-      Array.iteri
-        (fun i w ->
-          Engine.Fenwick.append f;
-          Engine.Fenwick.add f i w)
-        weights;
-      let ok = ref true and sum = ref 0 in
+      let weights = ref [||] in
+      List.iter
+        (fun (update, pick, w) ->
+          let len = Array.length !weights in
+          if update && len > 0 then begin
+            let i = pick mod len in
+            Engine.Fenwick.add f i (w - !weights.(i));
+            !weights.(i) <- w
+          end
+          else begin
+            Engine.Fenwick.append f;
+            Engine.Fenwick.add f len w;
+            weights := Array.append !weights [| w |]
+          end)
+        ops;
+      let ok = ref (Engine.Fenwick.length f = Array.length !weights) and sum = ref 0 in
       Array.iteri
         (fun i w ->
           for target = !sum to !sum + w - 1 do
@@ -393,8 +406,30 @@ let qcheck_find_matches_scan =
           done;
           sum := !sum + w;
           if Engine.Fenwick.prefix f i <> !sum then ok := false)
-        weights;
+        !weights;
       !ok && Engine.Fenwick.total f = !sum)
+
+let test_find_past_branchless_capacity () =
+  (* 2^18 + 5 slots take the tree to capacity 2^19, where [find] descends
+     with a branch: each found slot must cover its target. *)
+  let slots = (1 lsl 18) + 5 in
+  let rng = Prng.create ~seed:17 in
+  let f = Engine.Fenwick.create () in
+  for i = 0 to slots - 1 do
+    Engine.Fenwick.append f;
+    Engine.Fenwick.add f i (Prng.int rng 4)
+  done;
+  for _ = 1 to 1000 do
+    Engine.Fenwick.add f (Prng.int rng slots) 1
+  done;
+  for _ = 1 to 10_000 do
+    let target = Prng.int rng (Engine.Fenwick.total f) in
+    let i = Engine.Fenwick.find f target in
+    let before = if i = 0 then 0 else Engine.Fenwick.prefix f (i - 1) in
+    if not (before <= target && target < Engine.Fenwick.prefix f i) then
+      Alcotest.failf "target %d found slot %d covering [%d, %d)" target i before
+        (Engine.Fenwick.prefix f i)
+  done
 
 (* ---------- degree-class lumping ---------- *)
 
@@ -587,6 +622,8 @@ let suite =
       test_optimal_window_caches_nothing;
     QCheck_alcotest.to_alcotest qcheck_excluded_draw;
     QCheck_alcotest.to_alcotest qcheck_find_matches_scan;
+    Alcotest.test_case "fenwick find past the branchless capacity" `Quick
+      test_find_past_branchless_capacity;
     Alcotest.test_case "classes snapshot and faults" `Quick test_classes_snapshot_and_faults;
     Alcotest.test_case "star lumping silent but incorrect" `Quick
       test_star_lumping_silent_but_incorrect;
