@@ -413,6 +413,36 @@ let test_max_cells_boundary () =
   check_bool "memoized and interpreted kernels agree" true
     (Engine.Exec.snapshot a = Engine.Exec.snapshot b)
 
+(* --- encode pins: escape message, representatives, round-trip ------ *)
+
+let test_encode_escape_message () =
+  let ir = Ir.of_enumerable (Core.Optimal_silent.enumerable ~n:4 ()) in
+  let stray = Core.Optimal_silent.settled ~rank:9 ~children:0 in
+  Alcotest.check_raises "undeclared state escapes"
+    (Ir.Escape "Optimal-Silent-SSR: state Computing(Settled(rank=9, children=0)) escapes the declared space")
+    (fun () -> ignore (Ir.encode ir stray))
+
+let test_encode_representative () =
+  let n = 8 in
+  let params = Core.Params.optimal_silent n in
+  let ir = Ir.of_enumerable (Core.Optimal_silent.enumerable ~params ~n ()) in
+  let d_max = params.Core.Params.d_max in
+  List.iter
+    (fun leader ->
+      let frozen = Core.Optimal_silent.resetting ~leader ~resetcount:1 ~delaytimer:(d_max - 1) in
+      let representative = Core.Optimal_silent.resetting ~leader ~resetcount:1 ~delaytimer:d_max in
+      check_int "a propagating agent encodes to its representative's code"
+        (Ir.encode ir representative) (Ir.encode ir frozen))
+    [ false; true ]
+
+let test_tableless_roundtrip () =
+  let kernel = Ir.Kernel.compile (Core.Optimal_silent.enumerable ~n:256 ()) in
+  let ir = kernel.Ir.Kernel.ir in
+  check_bool "n = 256 is not memoized" true (ir.Ir.table = None);
+  for c = 0 to Ir.size ir - 1 do
+    check_int "encode (decode c) = c" c (Ir.encode ir (Ir.decode ir c))
+  done
+
 let suite =
   [
     Alcotest.test_case "pack/unpack round-trips (all entries)" `Quick test_roundtrip_all_entries;
@@ -434,4 +464,8 @@ let suite =
     Alcotest.test_case "synthetic fallback composes with DSE and memoize" `Quick
       test_synthetic_fallback_composes;
     Alcotest.test_case "memoization budget boundary is exact" `Quick test_max_cells_boundary;
+    Alcotest.test_case "encode escape message pinned" `Quick test_encode_escape_message;
+    Alcotest.test_case "encode maps a state to its representative's code" `Quick
+      test_encode_representative;
+    Alcotest.test_case "tableless kernel round-trips every code" `Quick test_tableless_roundtrip;
   ]
