@@ -340,9 +340,9 @@ let expected_time t config =
   let idx =
     Array.map
       (fun st ->
-        match Statespace.index t.space st with
-        | Some i -> i
-        | None -> invalid_arg "Model_check.expected_time: undeclared state")
+        let i = Statespace.index t.space st in
+        if i < 0 then invalid_arg "Model_check.expected_time: undeclared state";
+        i)
       config
   in
   Array.sort compare idx;

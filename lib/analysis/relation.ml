@@ -63,17 +63,16 @@ let scan_row (e : _ Engine.Enumerable.t) space ~keep_tables i =
         incr outcomes;
         let side tag out =
           let idx = Statespace.index space out in
-          (match idx with
-          | Some _ -> ()
-          | None ->
-              if !first_escape = None then
-                first_escape :=
-                  Some (Format.asprintf "(%a, %a)" p.Engine.Protocol.pp a p.Engine.Protocol.pp b);
-              record escape_count escapes (fun () ->
-                  Format.asprintf "(%a, %a) -%s-> %s %a: escapes the declared space (%a)"
-                    p.Engine.Protocol.pp a p.Engine.Protocol.pp b
-                    (Format.asprintf "%a" pp_trace trace)
-                    tag p.Engine.Protocol.pp out p.Engine.Protocol.pp out));
+          if idx < 0 then begin
+            if !first_escape = None then
+              first_escape :=
+                Some (Format.asprintf "(%a, %a)" p.Engine.Protocol.pp a p.Engine.Protocol.pp b);
+            record escape_count escapes (fun () ->
+                Format.asprintf "(%a, %a) -%s-> %s %a: escapes the declared space (%a)"
+                  p.Engine.Protocol.pp a p.Engine.Protocol.pp b
+                  (Format.asprintf "%a" pp_trace trace)
+                  tag p.Engine.Protocol.pp out p.Engine.Protocol.pp out)
+          end;
           List.iter
             (fun inv ->
               if not (inv.Engine.Enumerable.holds out) then
@@ -86,9 +85,7 @@ let scan_row (e : _ Engine.Enumerable.t) space ~keep_tables i =
         in
         let ia = side "initiator" a' in
         let ib = side "responder" b' in
-        match (ia, ib) with
-        | Some ia, Some ib -> indexed := ((ia, ib), probability trace) :: !indexed
-        | _ -> ())
+        if ia >= 0 && ib >= 0 then indexed := ((ia, ib), probability trace) :: !indexed)
       outs;
     Option.iter (fun t -> t.(j) <- sum_by_key (List.rev !indexed)) table
   done;

@@ -2,15 +2,12 @@ type 'a t = {
   states : 'a array;
   normalize : 'a -> 'a;
   equal : 'a -> 'a -> bool;
-  buckets : (int, int list) Hashtbl.t;  (** [Hashtbl.hash state] -> candidate indices *)
+  interner : Engine.Interner.t;  (** [Hashtbl.hash state] -> index *)
 }
 
-let lookup t s =
-  let rec scan = function
-    | [] -> None
-    | i :: rest -> if t.equal t.states.(i) s then Some i else scan rest
-  in
-  scan (Option.value ~default:[] (Hashtbl.find_opt t.buckets (Hashtbl.hash s)))
+let stored t s i = t.equal t.states.(i) s
+
+let lookup t s = Engine.Interner.find t.interner (Hashtbl.hash s) stored t s
 
 let of_enumerable (e : _ Engine.Enumerable.t) =
   let states = Array.of_list e.Engine.Enumerable.states in
@@ -19,7 +16,7 @@ let of_enumerable (e : _ Engine.Enumerable.t) =
       states;
       normalize = e.Engine.Enumerable.normalize;
       equal = e.Engine.Enumerable.protocol.Engine.Protocol.equal;
-      buckets = Hashtbl.create (2 * Array.length states);
+      interner = Engine.Interner.create (Array.length states);
     }
   in
   Array.iteri
@@ -28,14 +25,12 @@ let of_enumerable (e : _ Engine.Enumerable.t) =
         invalid_arg
           (Format.asprintf "Statespace: normalize is not the identity on declared state %a"
              e.Engine.Enumerable.protocol.Engine.Protocol.pp s);
-      (match lookup t s with
-      | Some j ->
-          invalid_arg
-            (Format.asprintf "Statespace: declared states %d and %d are duplicates (%a)" j i
-               e.Engine.Enumerable.protocol.Engine.Protocol.pp s)
-      | None -> ());
-      let h = Hashtbl.hash s in
-      Hashtbl.replace t.buckets h (i :: Option.value ~default:[] (Hashtbl.find_opt t.buckets h)))
+      let j = lookup t s in
+      if j >= 0 then
+        invalid_arg
+          (Format.asprintf "Statespace: declared states %d and %d are duplicates (%a)" j i
+             e.Engine.Enumerable.protocol.Engine.Protocol.pp s);
+      Engine.Interner.add t.interner (Hashtbl.hash s) i)
     states;
   t
 
@@ -45,15 +40,16 @@ let state t i = t.states.(i)
 
 let states t = t.states
 
+let rec scan t s i =
+  if i >= Array.length t.states then -1 else if t.equal t.states.(i) s then i else scan t s (i + 1)
+
 let index t s =
   let s = t.normalize s in
-  match lookup t s with
-  | Some i -> Some i
-  | None ->
-      (* The normalized representative may be structurally different from
-         the stored one for states outside the declared space; fall back to
-         a linear [equal] scan so that escapes are reported only for
-         genuinely undeclared states, never for hashing artifacts. *)
-      let n = Array.length t.states in
-      let rec scan i = if i >= n then None else if t.equal t.states.(i) s then Some i else scan (i + 1) in
-      scan 0
+  let i = lookup t s in
+  if i >= 0 then i
+  else
+    (* The normalized representative may be structurally different from
+       the stored one for states outside the declared space; fall back to
+       a linear [equal] scan so that escapes are reported only for
+       genuinely undeclared states, never for hashing artifacts. *)
+    scan t s 0

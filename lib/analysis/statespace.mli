@@ -2,10 +2,11 @@
 
     Assigns each declared state a dense index [0 .. size-1] and answers
     membership queries for arbitrary states (after {!Engine.Enumerable}
-    normalization) in expected O(1) via polymorphic hashing, with
-    [protocol.equal] resolving collisions. Construction validates the
-    descriptor's contract: the declared list is duplicate-free and
-    [normalize] is the identity on it ([Invalid_argument] otherwise).
+    normalization) in expected O(1) through an {!Engine.Interner} keyed by
+    the polymorphic hash, with [protocol.equal] resolving collisions.
+    Construction validates the descriptor's contract: the declared list is
+    duplicate-free and [normalize] is the identity on it
+    ([Invalid_argument] otherwise).
 
     The structure is immutable after construction, so it may be shared
     freely across {!Engine.Pool} worker domains. *)
@@ -21,9 +22,10 @@ val state : 'a t -> int -> 'a
 val states : 'a t -> 'a array
 (** All declared states, in index order. Do not mutate. *)
 
-val index : 'a t -> 'a -> int option
+val index : 'a t -> 'a -> int
 (** [index t s] is the index of [normalize s] in the declared space, or
-    [None] — an {e escape} — if the state is undeclared. Robust against
+    [-1] — an {e escape} — if the state is undeclared. A hit allocates
+    nothing beyond what [normalize] does. Robust against
     normalized states that are [equal] but not structurally equal to their
     stored representative (falls back to a linear scan before reporting an
     escape). *)

@@ -163,7 +163,7 @@ type 'a t = {
   mutable slot : int array;  (* slot within fenp/fenx of the cell's class *)
   mutable in_p : bool array;  (* member of the probed set *)
   mutable d : int;
-  buckets : (int, int list) Hashtbl.t;  (* Hashtbl.hash state -> cells *)
+  cells : Interner.t;  (* cell_hash (state, class) -> cell *)
   (* per-class agent mass, split probed/unprobed for restricted draws *)
   fenp : Fenwick.t array;
   fenx : Fenwick.t array;
@@ -297,39 +297,43 @@ let grow t =
     t.n_in <- copy [] t.n_in
   end
 
-(* Interning is bucketed by the polymorphic hash: the engine requires
-   that the protocol's [equal] coincides with structural equality (true
-   for the plain-data states of the deterministic protocols it targets).
-   The hash only routes equality lookups — nothing ever iterates the
-   buckets, so results cannot depend on hash values. *)
+(* Interning is keyed by the polymorphic hash: the engine requires that
+   the protocol's [equal] coincides with structural equality (true for the
+   plain-data states of the deterministic protocols it targets). The class
+   goes into the hash above its 30 bits ([Hashtbl.hash] is non-negative
+   and below 2^30), so equal stored hashes already agree on the class and
+   [stored_state] compares states only. The hash only routes equality
+   lookups — cells are numbered in first-intern order and the interner is
+   never iterated, so results cannot depend on hash values. *)
+let cell_hash state cls_id = Hashtbl.hash state lor (cls_id lsl 30)
+
+let stored_state t state i = t.protocol.Protocol.equal t.states.(i) state
+
 let intern t state cls_id =
-  let equal = t.protocol.Protocol.equal in
-  let h = Hashtbl.hash state in
-  let bucket = match Hashtbl.find_opt t.buckets h with Some b -> b | None -> [] in
-  match
-    List.find_opt (fun i -> t.cls.(i) = cls_id && equal t.states.(i) state) bucket
-  with
-  | Some i -> i
-  | None ->
-      if t.d >= cell_limit then
-        invalid_arg "Count_sim: cell space exhausted (2^25 interned (state, class) cells)";
-      grow t;
-      let i = t.d in
-      t.states.(i) <- state;
-      t.cls.(i) <- cls_id;
-      t.counts.(i) <- 0;
-      t.in_p.(i) <- false;
-      (* new cells start on the unprobed side *)
-      t.slot.(i) <- Fenwick.length t.fenx.(cls_id);
-      Fenwick.append t.fenx.(cls_id);
-      veci_push t.cell_of_slot_x.(cls_id) i;
-      t.p_out.(i) <- adj_empty;
-      t.p_in.(i) <- adj_empty;
-      t.n_out.(i) <- [];
-      t.n_in.(i) <- [];
-      t.d <- t.d + 1;
-      Hashtbl.replace t.buckets h (i :: bucket);
-      i
+  let h = cell_hash state cls_id in
+  let found = Interner.find t.cells h stored_state t state in
+  if found >= 0 then found
+  else begin
+    if t.d >= cell_limit then
+      invalid_arg "Count_sim: cell space exhausted (2^25 interned (state, class) cells)";
+    grow t;
+    let i = t.d in
+    t.states.(i) <- state;
+    t.cls.(i) <- cls_id;
+    t.counts.(i) <- 0;
+    t.in_p.(i) <- false;
+    (* new cells start on the unprobed side *)
+    t.slot.(i) <- Fenwick.length t.fenx.(cls_id);
+    Fenwick.append t.fenx.(cls_id);
+    veci_push t.cell_of_slot_x.(cls_id) i;
+    t.p_out.(i) <- adj_empty;
+    t.p_in.(i) <- adj_empty;
+    t.n_out.(i) <- [];
+    t.n_in.(i) <- [];
+    t.d <- t.d + 1;
+    Interner.add t.cells h i;
+    i
+  end
 
 (* Directed mass of pair (i, j) under current counts. *)
 let pair_weight t i j =
@@ -525,11 +529,11 @@ let make ?classes ?init_probe ?null_budget ~protocol ~init ~rng () =
       d = 0;
       (* sized to the population, so a start with mostly distinct states
          (Optimal-silent's correct configuration has n) interns without
-         rehashing; the floor of 1024 buckets is for small n, where the
+         regrowth; the floor of 1024 cells is for small n, where the
          discovered outcome cells outnumber the population many times
          over (~1300 cells at n = 48 from a uniform Optimal-silent start)
-         and a table sized to n would rehash its way up to them *)
-      buckets = Hashtbl.create (max 1024 n);
+         and a table sized to n would regrow its way up to them *)
+      cells = Interner.create (max 1024 n);
       fenp = Array.init nc (fun _ -> Fenwick.create ());
       fenx = Array.init nc (fun _ -> Fenwick.create ());
       cell_of_slot_p = Array.init nc (fun _ -> veci_make ());

@@ -9,7 +9,9 @@ type 'a t = {
   is_leader : 'a -> bool;
 }
 
-let leader_from_rank rank state = rank state = Some 1
+(* A pattern match, not [= Some 1]: polymorphic equality would call into
+   the C runtime on every monitor update. *)
+let leader_from_rank rank state = match rank state with Some 1 -> true | Some _ | None -> false
 
 let validate ?config t =
   if t.n < 2 then invalid_arg "Protocol.validate: population size must be >= 2";

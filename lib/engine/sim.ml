@@ -2,24 +2,18 @@ type 'a t = {
   protocol : 'a Protocol.t;
   states : 'a array;
   rng : Prng.t;
-  sampler : Prng.t -> int * int;
+  sampler : Prng.t -> int;  (* a Prng.pack_pair-packed ordered pair *)
   monitor : 'a Monitor.t;
   mutable interactions : int;
-  mutable last_pair : (int * int) option;
+  mutable last_i : int;  (* -1 before the first interaction *)
+  mutable last_j : int;
 }
 
-let make_opt sampler ~protocol ~init ~rng =
+let make_with ~sampler ~protocol ~init ~rng =
   if Array.length init <> protocol.Protocol.n then
     invalid_arg "Sim.make: initial configuration size differs from protocol.n";
   Protocol.validate ~config:init protocol;
   let states = Array.copy init in
-  let sampler =
-    match sampler with
-    | Some s -> s
-    | None ->
-        let n = protocol.Protocol.n in
-        fun rng -> Prng.distinct_pair rng n
-  in
   {
     protocol;
     states;
@@ -27,19 +21,21 @@ let make_opt sampler ~protocol ~init ~rng =
     sampler;
     monitor = Monitor.create protocol states;
     interactions = 0;
-    last_pair = None;
+    last_i = -1;
+    last_j = -1;
   }
 
-let make ~protocol ~init ~rng = make_opt None ~protocol ~init ~rng
-
-let make_with ~sampler ~protocol ~init ~rng = make_opt (Some sampler) ~protocol ~init ~rng
+let make ~protocol ~init ~rng =
+  let n = protocol.Protocol.n in
+  make_with ~sampler:(fun rng -> Prng.distinct_pair_packed rng n) ~protocol ~init ~rng
 
 let protocol t = t.protocol
 
 let n t = t.protocol.Protocol.n
 
 let step t =
-  let i, j = t.sampler t.rng in
+  let p = t.sampler t.rng in
+  let i = Prng.pair_fst p and j = Prng.pair_snd p in
   let a = t.states.(i) and b = t.states.(j) in
   let a', b' = t.protocol.Protocol.transition t.rng a b in
   t.states.(i) <- a';
@@ -47,7 +43,8 @@ let step t =
   Monitor.update t.monitor ~old_state:a ~new_state:a';
   Monitor.update t.monitor ~old_state:b ~new_state:b';
   t.interactions <- t.interactions + 1;
-  t.last_pair <- Some (i, j)
+  t.last_i <- i;
+  t.last_j <- j
 
 let interactions t = t.interactions
 
@@ -86,4 +83,4 @@ let corrupt t ~rng ~fraction gen =
 
 let snapshot t = Array.copy t.states
 
-let last_pair t = t.last_pair
+let last_pair t = if t.last_i < 0 then None else Some (t.last_i, t.last_j)

@@ -18,10 +18,12 @@ val make : protocol:'a Protocol.t -> init:'a array -> rng:Prng.t -> 'a t
     uniform ordered-pair scheduler. *)
 
 val make_with :
-  sampler:(Prng.t -> int * int) -> protocol:'a Protocol.t -> init:'a array -> rng:Prng.t -> 'a t
+  sampler:(Prng.t -> int) -> protocol:'a Protocol.t -> init:'a array -> rng:Prng.t -> 'a t
 (** Like {!make} but with a custom scheduler: [sampler] must return an
-    ordered pair of distinct agent indices in [0, n); {!Topology.sampler}
-    provides non-complete interaction graphs. *)
+    ordered pair of distinct agent indices in [0, n), packed by
+    {!Prng.pack_pair} so that a step allocates no tuple for it;
+    {!Topology.sampler} provides non-complete interaction graphs. {!make}
+    is [make_with] over {!Prng.distinct_pair_packed}. *)
 
 val protocol : 'a t -> 'a Protocol.t
 val n : 'a t -> int

@@ -78,7 +78,7 @@ let is_connected t =
 
 let sampler t rng =
   let i, j = t.edges.(Prng.int rng (Array.length t.edges)) in
-  if Prng.bool rng then (i, j) else (j, i)
+  if Prng.bool rng then Prng.pack_pair i j else Prng.pack_pair j i
 
 let name t = t.name
 

@@ -34,10 +34,11 @@ val degree : t -> int -> int
 
 val is_connected : t -> bool
 
-val sampler : t -> Prng.t -> int * int
-(** Uniform random edge, uniform random orientation — the scheduler for
-    {!Sim.make}'s [sampler] argument. On {!complete} this coincides with
-    the paper's uniform ordered-pair scheduler. *)
+val sampler : t -> Prng.t -> int
+(** Uniform random edge, uniform random orientation, as a
+    {!Prng.pack_pair}-packed (initiator, responder) pair — the scheduler
+    for {!Sim.make_with}'s [sampler] argument. On {!complete} this
+    coincides with the paper's uniform ordered-pair scheduler. *)
 
 val name : t -> string
 

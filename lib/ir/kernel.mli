@@ -9,7 +9,10 @@
     table with two array reads and no allocation; {e dynamic} pairs (and
     everything, when memoization was skipped) decode, run the source
     transition with the {e real} rng — so randomness consumption is
-    identical to the interpreter's — and re-encode. Observations
+    identical to the interpreter's — and re-encode. A tableless kernel is
+    therefore the interpreter plus two decodes and two {!Repr.encode}
+    calls per step: it cannot beat the interpreter, only trail it by the
+    encodes' interner lookups. Observations
     ([rank], [is_leader]) are precomputed per-code arrays, so the
     compiled protocol satisfies {!Engine.Protocol.validate} exactly when
     the source does. *)

@@ -88,12 +88,7 @@ let of_enumerable (e : _ Engine.Enumerable.t) =
   in
   let synthetic reason =
     let fields = [ { fname = "state-index"; frange = s } ] in
-    let getters =
-      [
-        (fun st ->
-          match Analysis.Statespace.index space st with Some i -> i | None -> -1);
-      ]
-    in
+    let getters = [ Analysis.Statespace.index space ] in
     (fields, getters, Some reason, s)
   in
   let fields, getters, synthesized, packed_codes =
@@ -146,16 +141,17 @@ let of_enumerable (e : _ Engine.Enumerable.t) =
   }
 
 let encode_opt t st =
-  Option.map (fun i -> t.code_of_index.(i)) (Analysis.Statespace.index t.space st)
+  let i = Analysis.Statespace.index t.space st in
+  if i < 0 then None else Some t.code_of_index.(i)
 
 let encode t st =
-  match encode_opt t st with
-  | Some c -> c
-  | None ->
-      raise
-        (Escape
-           (Format.asprintf "%s: state %a escapes the declared space" (name t)
-              t.enumerable.Engine.Enumerable.protocol.Engine.Protocol.pp st))
+  let i = Analysis.Statespace.index t.space st in
+  if i < 0 then
+    raise
+      (Escape
+         (Format.asprintf "%s: state %a escapes the declared space" (name t)
+            t.enumerable.Engine.Enumerable.protocol.Engine.Protocol.pp st))
+  else t.code_of_index.(i)
 
 let decode t code =
   if code < 0 || code >= Array.length t.index_of_code then

@@ -141,12 +141,23 @@ let float g =
 
 let bernoulli g ~p = float g < p
 
-let distinct_pair g n =
-  assert (n >= 2);
+(* A pair of agent indices below 2^31 packed into one immediate int, so
+   the per-interaction sampler returns it without allocating. *)
+let pack_pair i j = (i lsl 31) lor j
+
+let pair_fst p = p lsr 31
+
+let pair_snd p = p land 0x7FFF_FFFF
+
+let distinct_pair_packed g n =
+  assert (n >= 2 && n <= 1 lsl 31);
   let i = int g n in
   let j = int g (n - 1) in
-  let j = if j >= i then j + 1 else j in
-  (i, j)
+  pack_pair i (if j >= i then j + 1 else j)
+
+let distinct_pair g n =
+  let p = distinct_pair_packed g n in
+  (pair_fst p, pair_snd p)
 
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do

@@ -62,7 +62,19 @@ val bernoulli : t -> p:float -> bool
 
 val distinct_pair : t -> int -> int * int
 (** [distinct_pair g n] is an ordered pair [(i, j)] with [i <> j], uniform
-    over the [n * (n-1)] ordered pairs of [0..n-1]. Requires [n >= 2]. *)
+    over the [n * (n-1)] ordered pairs of [0..n-1]. Requires
+    [2 <= n <= 2^31]. *)
+
+val distinct_pair_packed : t -> int -> int
+(** {!distinct_pair} packed by {!pack_pair}: the same draws in the same
+    order, without allocating the tuple. *)
+
+val pack_pair : int -> int -> int
+(** [pack_pair i j], for [0 <= i, j < 2^31], is one non-negative int
+    holding both indices; {!pair_fst} and {!pair_snd} take it apart. *)
+
+val pair_fst : int -> int
+val pair_snd : int -> int
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

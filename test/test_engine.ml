@@ -95,6 +95,41 @@ let qcheck_monitor_matches_recompute =
       && Engine.Monitor.leader_count m = Engine.Monitor.leader_count recompute
       && Engine.Monitor.ranked_agents m = Engine.Monitor.ranked_agents recompute)
 
+(* Interner tests *)
+
+(* The interner against a linear [equal] scan over the keys it was given,
+   from an empty table through several regrowths. Besides a real hash,
+   two degenerate ones: a constant that makes every key collide on the
+   last slot (so every probe run wraps around), and one with four long
+   collision runs. [equal] must only ever see entries whose stored hash
+   matches the probe's. *)
+let qcheck_interner_matches_scan =
+  QCheck.Test.make ~name:"interner matches a linear equal scan" ~count:200
+    QCheck.(pair (int_bound 2) (list_of_size Gen.(0 -- 800) (int_bound 300)))
+    (fun (mode, keys) ->
+      let hash k =
+        match mode with 0 -> Hashtbl.hash k | 1 -> 0x3FFF_FFFF | _ -> k land 3
+      in
+      let t = Engine.Interner.create 0 in
+      let stored = ref [||] in
+      let ok = ref true in
+      let equal stored k i =
+        if hash !stored.(i) <> hash k then ok := false;
+        !stored.(i) = k
+      in
+      List.iter
+        (fun k ->
+          let scan = ref (-1) in
+          Array.iteri (fun i s -> if !scan < 0 && s = k then scan := i) !stored;
+          let id = Engine.Interner.find t (hash k) equal stored k in
+          if id <> !scan then ok := false;
+          if id < 0 then begin
+            Engine.Interner.add t (hash k) (Array.length !stored);
+            stored := Array.append !stored [| k |]
+          end)
+        keys;
+      !ok)
+
 (* Sim tests *)
 
 let test_sim_counts () =
@@ -364,6 +399,7 @@ let suite =
     Alcotest.test_case "monitor leader count" `Quick test_monitor_leader_count;
     Alcotest.test_case "monitor out-of-range ranks" `Quick test_monitor_out_of_range;
     QCheck_alcotest.to_alcotest qcheck_monitor_matches_recompute;
+    QCheck_alcotest.to_alcotest qcheck_interner_matches_scan;
     Alcotest.test_case "sim counts" `Quick test_sim_counts;
     Alcotest.test_case "sim copies init" `Quick test_sim_init_copied;
     Alcotest.test_case "sim snapshot isolated" `Quick test_sim_snapshot_isolated;

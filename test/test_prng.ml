@@ -336,6 +336,53 @@ let test_draws_allocate_nothing () =
     ];
   ignore (Sys.opaque_identity !sink)
 
+(* Minor words per call of [f], over [calls] calls. *)
+let words_per ~calls f =
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* The agent engine's step on a memoized compiled kernel: the sampler
+   returns its pair packed in an int, the last pair is two int fields and
+   the monitor's observations are per-code array reads, so the only
+   allocation left is the transition's 3-word output tuple, under the
+   uniform and the topology scheduler alike. *)
+let test_step_allocates_only_the_transition () =
+  let n = 64 in
+  let kernel = Ir.Kernel.compile (Core.Silent_n_state.enumerable ~n) in
+  check_bool "kernel is memoized" true (kernel.Ir.Kernel.ir.Ir.table <> None);
+  let protocol = kernel.Ir.Kernel.compiled
+  and init = Array.map (Ir.Kernel.encode kernel) (Core.Scenarios.silent_worst_case ~n) in
+  List.iter
+    (fun (name, sim) ->
+      let w = words_per ~calls:100_000 (fun () -> Engine.Sim.step sim) in
+      check_bool (Printf.sprintf "%s: %.3f minor words per step" name w) true (w <= 3.01))
+    [
+      ("uniform", Engine.Sim.make ~protocol ~init ~rng:(Prng.create ~seed:17));
+      ( "ring",
+        Engine.Sim.make_with
+          ~sampler:(Engine.Topology.sampler (Engine.Topology.ring ~n))
+          ~protocol ~init ~rng:(Prng.create ~seed:18) );
+    ]
+
+(* A hit in the state interner hashes once and compares in place. *)
+let test_encode_allocates_nothing () =
+  let n = 64 in
+  let ir = Ir.of_enumerable (Core.Optimal_silent.enumerable ~n ()) in
+  let declared =
+    Array.init n (fun r -> Core.Optimal_silent.settled ~rank:(r + 1) ~children:(r mod 3))
+  in
+  let sink = ref 0 and k = ref 0 in
+  let w =
+    words_per ~calls:100_000 (fun () ->
+        sink := !sink + Ir.encode ir declared.(!k);
+        k := (!k + 1) mod n)
+  in
+  ignore (Sys.opaque_identity !sink);
+  check_bool (Printf.sprintf "%.4f minor words per encode" w) true (w < 0.001)
+
 let qcheck_permutation =
   QCheck.Test.make ~name:"permutation is bijective" ~count:200
     QCheck.(pair small_int (int_bound 1000))
@@ -381,6 +428,10 @@ let suite =
     Alcotest.test_case "pick" `Quick test_pick;
     Alcotest.test_case "stream pins" `Quick test_stream_pins;
     Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
+    Alcotest.test_case "agent step allocates only the transition" `Quick
+      test_step_allocates_only_the_transition;
+    Alcotest.test_case "declared-state encode allocates nothing" `Quick
+      test_encode_allocates_nothing;
     QCheck_alcotest.to_alcotest qcheck_permutation;
     QCheck_alcotest.to_alcotest qcheck_int_bound;
   ]
