@@ -229,6 +229,170 @@ let test_json_renders () =
       check_bool "mentions the key" true (contains ~sub:{|"key":"reset"|} json);
       check_bool "reports overall verdict" true (contains ~sub:{|"ok":true|} json))
 
+(* --- the silence stage, pinned whole ------------------------------------ *)
+
+(* A stage as one line of status and metrics, then its findings. *)
+let render (s : Analysis.Report.stage) =
+  Printf.sprintf "%s %s (%s)" s.Analysis.Report.stage
+    (Analysis.Report.string_of_status s.Analysis.Report.status)
+    (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) s.Analysis.Report.metrics))
+  :: s.Analysis.Report.findings
+
+let silence_of ?(max_configs = 100) e =
+  with_pool (fun pool ->
+      stage_of
+        (Analysis.Driver.analyze_enumerable ~pool ~max_configs ~key:"pin" ~table1:false e)
+        "silence")
+
+let int_protocol ~name ~n transition : int Engine.Protocol.t =
+  {
+    Engine.Protocol.name;
+    n;
+    transition = (fun _ a b -> transition a b);
+    deterministic = true;
+    equal = Int.equal;
+    pp = Format.pp_print_int;
+    rank = (fun s -> Some (s + 1));
+    is_leader = (fun s -> s = 0);
+  }
+
+let int_descriptor ~name ~n ~states transition =
+  Engine.Enumerable.make ~protocol:(int_protocol ~name ~n transition) ~states ()
+
+let check_stage label expected stage =
+  Alcotest.(check (list string)) label expected (render stage)
+
+let test_silence_stage_pinned () =
+  let n = 3 in
+  let baseline = Core.Baseline.protocol ~n in
+  check_stage "unrestricted baseline, n = 3"
+    [ "silence FAIL (configs=4, silent=2)"; "silent but incorrect: [3 F]" ]
+    (silence_of
+       (Engine.Enumerable.make ~protocol:baseline
+          ~states:[ Core.Baseline.Leader; Core.Baseline.Follower ]
+          ~correct:(Engine.Enumerable.unique_leader baseline)
+          ~expectation:Engine.Enumerable.Silent_stabilizing ()));
+  check_stage "swap-forever"
+    [ "silence FAIL (configs=3, silent=2)"; "silent but incorrect: [2 0]"; "silent but incorrect: [2 1]" ]
+    (silence_of
+       (int_descriptor ~name:"swap-forever" ~n:2 ~states:[ 0; 1 ] (fun a b ->
+            if a <> b then (b, a) else (a, b))));
+  check_stage "flip-forever" [ "silence pass (configs=3, silent=1)" ]
+    (silence_of
+       (int_descriptor ~name:"flip-forever" ~n:2 ~states:[ 0; 1 ] (fun a b ->
+            if a = b then (1 - a, 1 - b) else (a, b))));
+  let incorrect = List.map (fun c -> "silent but incorrect: " ^ c) in
+  check_stage "inert"
+    ("silence FAIL (configs=10, silent=10)"
+    :: incorrect
+         [ "[3 0]"; "[2 0, 1]"; "[2 0, 2]"; "[0, 2 1]"; "[0, 2 2]"; "[3 1]"; "[2 1, 2]"; "[1, 2 2]"; "[3 2]" ])
+    (silence_of (int_descriptor ~name:"inert" ~n:3 ~states:[ 0; 1; 2 ] (fun a b -> (a, b))));
+  check_stage "inert over four states (findings capped)"
+    (("silence FAIL (configs=20, silent=20)"
+     :: incorrect
+          [
+            "[3 0]"; "[2 0, 1]"; "[2 0, 2]"; "[2 0, 3]"; "[0, 2 1]"; "[0, 1, 3]"; "[0, 2 2]";
+            "[0, 2, 3]"; "[0, 2 3]"; "[3 1]";
+          ])
+    @ [ "... and 9 more" ])
+    (silence_of (int_descriptor ~name:"inert" ~n:3 ~states:[ 0; 1; 2; 3 ] (fun a b -> (a, b))));
+  check_stage "flip-all"
+    [
+      "silence FAIL (configs=3, silent=0)";
+      "expectation is silent-stabilizing but no silent configuration exists";
+    ]
+    (silence_of
+       (int_descriptor ~name:"flip-all" ~n:2 ~states:[ 0; 1 ] (fun a b -> (1 - a, 1 - b))));
+  let entry key = (Option.get (Analysis.Registry.find key)).Analysis.Registry.build ~n in
+  let (Analysis.Registry.Any sublinear) = entry "sublinear" in
+  check_stage "randomized skip"
+    [ "silence skip ()"; "randomized protocol: silence is undefined (Engine.Silence)" ]
+    (silence_of sublinear);
+  let (Analysis.Registry.Any ranks) = entry "silent_n_state" in
+  check_stage "budget skip"
+    [ "silence skip ()"; "configuration space exceeds budget (3 states, budget 1 configs)" ]
+    (silence_of ~max_configs:1 ranks)
+
+(* The configuration-by-configuration silence scan, kept as the reference
+   for the stage: every admissible configuration over the declared states,
+   in Configs.iter order, classified by Engine.Silence. Returns the
+   admissible count, the silent count and the silent incorrect
+   configurations as multisets, e.g. "[2 0, 1]". *)
+let reference_silence (e : _ Engine.Enumerable.t) =
+  let p = e.Engine.Enumerable.protocol in
+  let states = Array.of_list e.Engine.Enumerable.states in
+  let render config =
+    "["
+    ^ String.concat ", "
+        (List.map
+           (fun (st, m) ->
+             let s = Format.asprintf "%a" p.Engine.Protocol.pp st in
+             if m = 1 then s else Printf.sprintf "%d %s" m s)
+           (Engine.Silence.distinct_states p.Engine.Protocol.equal config))
+    ^ "]"
+  in
+  let admissible = ref 0 and silent = ref 0 and wrong = ref [] in
+  Analysis.Configs.iter ~states:(Array.length states) ~n:p.Engine.Protocol.n (fun idx ->
+      let config = Array.map (fun i -> states.(i)) idx in
+      if e.Engine.Enumerable.admissible config then begin
+        incr admissible;
+        if Engine.Silence.configuration_is_silent p config then begin
+          incr silent;
+          if not (e.Engine.Enumerable.correct config) then wrong := render config :: !wrong
+        end
+      end);
+  (!admissible, !silent, List.rev !wrong)
+
+let test_silence_stage_matches_engine_silence () =
+  with_pool (fun pool ->
+      List.iter
+        (fun (n, max_configs) ->
+          List.iter
+            (fun (entry : Analysis.Registry.entry) ->
+              let (Analysis.Registry.Any e) = entry.Analysis.Registry.build ~n in
+              let p = e.Engine.Enumerable.protocol in
+              let label what = Printf.sprintf "%s(n=%d) %s" entry.Analysis.Registry.key n what in
+              let fits =
+                match
+                  Analysis.Configs.count ~states:(List.length e.Engine.Enumerable.states) ~n
+                with
+                | Some c -> c <= max_configs
+                | None -> false
+              in
+              let r = Analysis.Driver.analyze_entry ~pool ~max_configs ~n entry in
+              let stage = stage_of r "silence" in
+              if p.Engine.Protocol.deterministic && fits then begin
+                let admissible, silent, wrong = reference_silence e in
+                check_int (label "configs") admissible (int_of_string (metric_of stage "configs"));
+                check_int (label "silent") silent (int_of_string (metric_of stage "silent"));
+                check_int (label "absorbing") silent
+                  (Analysis.Model_check.absorbing (Analysis.Model_check.chain ~pool e));
+                let missing =
+                  if e.Engine.Enumerable.expectation = Engine.Enumerable.Silent_stabilizing && silent = 0
+                  then [ "expectation is silent-stabilizing but no silent configuration exists" ]
+                  else []
+                in
+                let total = List.length wrong + List.length missing in
+                let shown =
+                  List.filteri (fun i _ -> i < Analysis.Report.max_findings) wrong
+                  |> List.map (fun c -> "silent but incorrect: " ^ c)
+                in
+                let more =
+                  if total > Analysis.Report.max_findings then
+                    [ Printf.sprintf "... and %d more" (total - Analysis.Report.max_findings) ]
+                  else []
+                in
+                Alcotest.(check (list string)) (label "findings") (shown @ missing @ more)
+                  stage.Analysis.Report.findings;
+                check_bool (label "status") (total = 0)
+                  (stage.Analysis.Report.status = Analysis.Report.Pass)
+              end
+              else
+                check_bool (label "skips") true
+                  (stage.Analysis.Report.status = Analysis.Report.Skip))
+            Analysis.Registry.entries)
+        [ (3, Analysis.Driver.default_max_configs); (4, 5_000) ])
+
 (* --- silence classification edge cases -------------------------------- *)
 
 let test_silence_single_agent_vacuous () =
@@ -401,6 +565,9 @@ let suite =
     Alcotest.test_case "closure: missing state detected" `Quick test_closure_catches_missing_state;
     Alcotest.test_case "lint: false invariant detected" `Quick test_lint_catches_false_invariant;
     Alcotest.test_case "json report renders" `Quick test_json_renders;
+    Alcotest.test_case "silence stage pinned" `Quick test_silence_stage_pinned;
+    Alcotest.test_case "silence stage matches Engine.Silence" `Slow
+      test_silence_stage_matches_engine_silence;
     Alcotest.test_case "silence: single agent" `Quick test_silence_single_agent_vacuous;
     Alcotest.test_case "silence: single state multiplicity" `Quick
       test_silence_single_state_multiplicity;
