@@ -190,4 +190,5 @@ let cmd =
   let info = Cmd.info "plot" ~version:"1.0" ~doc in
   Cmd.v info Term.(const main $ embed_arg $ root_arg $ chart_arg $ title_arg $ out_arg $ inputs_arg)
 
-let () = exit (Cmd.eval' cmd)
+(* Every usage error exits 2, cmdliner's own parse errors included. *)
+let () = exit (match Cmd.eval' cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

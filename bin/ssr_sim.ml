@@ -344,8 +344,10 @@ let cmd =
            -s correct))."
       $ arg Arg.string "interp" [ "kernel" ] "KERNEL"
           "Transition kernel: interp (call the protocol's OCaml transition directly) or compiled \
-           (compile the protocol through the IR pipeline to packed int codes with a memoized \
-           transition table; observables are identical, throughput is higher — see DESIGN.md \
+           (compile the protocol through the IR pipeline to packed int codes, with a memoized \
+           transition table when the state space fits its budget; observables are identical. A \
+           memoized kernel is faster on an expensive transition, a tableless one trails the \
+           interpreter, e.g. Optimal-Silent at n = 256 with 6963 states — see DESIGN.md \
            \"Protocol IR\"). Deterministic protocols with a declared state space only."
       $ arg Arg.int 1 [ "trials" ] "TRIALS"
           "Run this many independent trials and print summary statistics instead of a single \

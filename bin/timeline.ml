@@ -104,4 +104,5 @@ let cmd =
   let info = Cmd.info "timeline" ~version:"1.0" ~doc in
   Cmd.v info Term.(const main $ serve_arg $ sla_arg $ port_arg $ path_arg)
 
-let () = exit (Cmd.eval' cmd)
+(* Every usage error exits 2, cmdliner's own parse errors included. *)
+let () = exit (match Cmd.eval' cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

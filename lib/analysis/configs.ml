@@ -1,3 +1,12 @@
+(* C(m, k); ascending numerators keep every intermediate value integral:
+   after step i the accumulator is exactly C(m - k + i, i) *)
+let binomial m k =
+  let c = ref 1 in
+  for i = 1 to k do
+    c := !c * (m - k + i) / i
+  done;
+  !c
+
 let count ~states ~n =
   (* C(states + n - 1, n), with a float guard against overflow *)
   let estimate =
@@ -7,22 +16,27 @@ let count ~states ~n =
     in
     go 1.0 1
   in
-  if estimate > 1e15 then None
-  else begin
-    let c = ref 1 in
-    for k = 1 to n do
-      (* ascending numerators keep every intermediate value integral:
-         after step k the accumulator is exactly C(states - 1 + k, k) *)
-      c := !c * (states - 1 + k) / k
-    done;
-    Some !c
-  end
+  if estimate > 1e15 then None else Some (binomial (states + n - 1) n)
 
-let key ~states config = Array.fold_left (fun acc i -> (acc * states) + i) 0 config
-
-let keyable ~states ~n =
-  let rec go acc k = if k = 0 then true else acc <= max_int / states && go (acc * states) (k - 1) in
-  states > 0 && go 1 n
+(* The configurations that agree with [config] before position [pos] and
+   hold a smaller state there all come first in [iter]'s order; those
+   holding a state in [lo, c), for [lo] the state at [pos - 1], number
+   tails(k, lo) - tails(k, c), where tails(k, v) = C(states - v + k - 1, k)
+   counts the sorted configurations of the k = n - pos agents left over
+   the states [v .. states - 1]. *)
+let key ~states ~n =
+  let tails =
+    Array.init (n + 1) (fun k -> Array.init (states + 1) (fun v -> binomial (states - v + k - 1) k))
+  in
+  fun config ->
+    let key = ref 0 and lo = ref 0 in
+    Array.iteri
+      (fun pos c ->
+        let tails = tails.(n - pos) in
+        key := !key + tails.(!lo) - tails.(c);
+        lo := c)
+      config;
+    !key
 
 let iter ~states ~n f =
   let config = Array.make n 0 in

@@ -3,18 +3,17 @@
     Agents are anonymous, so a configuration of [n] agents over [s]
     declared states is a multiset — canonically a {e nondecreasing} length-
     [n] array of indices in [0 .. s-1]. There are [C(s + n - 1, n)] of
-    them, each packed into a single non-negative [int] key (mixed radix
-    base [s]) for hashing during model checking. *)
+    them, each numbered by its position in {!iter}'s order. *)
 
 val count : states:int -> n:int -> int option
 (** [C(states + n - 1, n)], or [None] when it exceeds ~1e15 (the caller
     should skip exhaustive analysis long before that). *)
 
-val keyable : states:int -> n:int -> bool
-(** Whether [states]^[n] fits an [int], i.e. {!key} is injective. *)
-
-val key : states:int -> int array -> int
-(** Pack a sorted configuration into its unique key. *)
+val key : states:int -> n:int -> int array -> int
+(** [key ~states ~n config] is the position of the sorted configuration
+    [config] of [n] agents in {!iter}'s order, in [0 .. count - 1]; it
+    fits an [int] whenever {!count} does. Apply [key ~states ~n] once and
+    reuse it: it tabulates the binomials it needs. *)
 
 val iter : states:int -> n:int -> (int array -> unit) -> unit
 (** Call [f] on every sorted configuration, in lexicographic order. The

@@ -62,23 +62,12 @@ let analyze_enumerable ~pool ~max_configs ~key ~table1 (e : _ Engine.Enumerable.
       }
   | Ok space ->
       let counts = guard "state-count" (fun () -> count_stage ~table1 e space) in
-      (* One pair-outcome scan feeds both the closure/lint stages and the
-         model checker; the Θ(s²) index table is retained only when the
-         model check's budget gate says it will run. *)
-      (* The gate itself can raise (combinatorics overflow on huge spaces);
-         treat that as a failed model-check stage, not a crashed run, so the
-         remaining instances still get analyzed. *)
-      let mc_gate =
-        try Model_check.gate ~max_configs e space
-        with exn ->
-          `Skip
-            (Report.finish
-               ~findings:[ "exception: " ^ Printexc.to_string exn ]
-               ~total:1 "model-check")
-      in
-      let keep_tables = mc_gate = `Run in
+      (* One pair-outcome scan feeds the closure/lint stages and the chain;
+         the Θ(s²) index table is retained only when the budget gate says
+         the chain will be built. *)
+      let gate = Model_check.gate ~max_configs e space in
       let relation =
-        try Ok (Relation.scan ~pool ~keep_tables e space) with exn -> Error exn
+        try Ok (Relation.scan ~pool ~keep_tables:(gate = `Run) e space) with exn -> Error exn
       in
       let closure, lint =
         match relation with
@@ -88,15 +77,13 @@ let analyze_enumerable ~pool ~max_configs ~key ~table1 (e : _ Engine.Enumerable.
             let failed = Report.finish ~findings ~total:1 in
             (failed "closure", failed "invariant-lint")
       in
-      let silence = guard "silence" (fun () -> Silence_scan.run ~max_configs e space) in
-      let mc =
-        match (mc_gate, relation) with
-        | `Skip stage, _ -> stage
-        | `Run, Ok r -> guard "model-check" (fun () -> Model_check.check ~pool ~relation:r e space)
-        | `Run, Error exn ->
-            Report.finish
-              ~findings:[ "exception: " ^ Printexc.to_string exn ]
-              ~total:1 "model-check"
+      (* One chain build gives both the silence and the model-check stage. *)
+      let silence, mc =
+        match (gate, relation) with
+        | `Skip stages, _ -> stages
+        | `Run, Ok r -> (
+            try Model_check.check ~pool ~relation:r e space with exn -> Model_check.failed e exn)
+        | `Run, Error exn -> Model_check.failed e exn
       in
       { base with Report.stages = [ counts; closure; lint; silence; mc ] }
 

@@ -2,11 +2,12 @@
 
     Stage order: [state-count] (declared closed form vs. enumeration vs.
     the matching Table 1 row), [closure] and [invariant-lint] (one scan,
-    {!Relation}), [silence] ({!Silence_scan}), [model-check]
-    ({!Model_check}). An exception inside a stage becomes that stage's
-    failure — an analyzer crash must never read as a pass — and a
-    descriptor that violates the {!Statespace} contract fails fast with a
-    single [state-count] stage. *)
+    {!Relation}), [silence] and [model-check] (one chain build,
+    {!Model_check}: the silence stage reads the chain's per-configuration
+    flags, so configurations are enumerated once per instance). An
+    exception inside a stage becomes that stage's failure — an analyzer
+    crash must never read as a pass — and a descriptor that violates the
+    {!Statespace} contract fails fast with a single [state-count] stage. *)
 
 val default_max_configs : int
 (** 200_000 — comfortably covers the [*_small] registry instances at

@@ -1,3 +1,12 @@
+let pp_config (p : _ Engine.Protocol.t) fmt config =
+  Format.fprintf fmt "[%s]"
+    (String.concat ", "
+       (List.map
+          (fun (s, m) ->
+            if m = 1 then Format.asprintf "%a" p.Engine.Protocol.pp s
+            else Format.asprintf "%d %a" m p.Engine.Protocol.pp s)
+          (Engine.Silence.distinct_states p.Engine.Protocol.equal config)))
+
 (* Iterative Tarjan over the configuration graph; returns the component id
    of every node and the component count. *)
 let tarjan succs =
@@ -60,10 +69,11 @@ let tarjan succs =
    ids in increasing order (the configuration itself included when some
    interaction leaves it unchanged) with their summed probabilities,
    whether some interaction changes an agent's state (a swap of distinct
-   states does, though it maps the multiset to itself), and the key
-   misses, which mean the admissible region is not transition-closed (the
-   enumeration covers every configuration over the declared states). *)
-let successors ~states ~pair_rows ~key_to_id idx =
+   states does, though it maps the multiset to itself), and the
+   destinations that are not admissible, which mean the admissible region
+   is not transition-closed (the enumeration covers every configuration
+   over the declared states). *)
+let successors ~pair_rows ~key ~id_of_key idx =
   let mults = Configs.multiplicities idx in
   let n = Array.length idx in
   let pairs = float_of_int (n * (n - 1)) in
@@ -80,13 +90,23 @@ let successors ~states ~pair_rows ~key_to_id idx =
               (fun ((a', b'), p) ->
                 if a' <> a || b' <> b then moves := true;
                 let next = Configs.replace_pair idx ~a ~b ~a' ~b' in
-                match Hashtbl.find_opt key_to_id (Configs.key ~states next) with
-                | Some id' -> out := (id', float_of_int w /. pairs *. p) :: !out
-                | None -> misses := next :: !misses)
+                let id' = id_of_key.(key next) in
+                if id' >= 0 then out := (id', float_of_int w /. pairs *. p) :: !out
+                else misses := next :: !misses)
               pair_rows.(a).(b))
         mults)
     mults;
   (Relation.sum_by_key (List.rev !out), !moves, !misses)
+
+(* Silence is undefined for a randomized protocol, whatever became of the
+   chain. *)
+let silence_or (e : _ Engine.Enumerable.t) stage =
+  if e.Engine.Enumerable.protocol.Engine.Protocol.deterministic then stage
+  else Report.skip ~reason:"randomized protocol: silence is undefined (Engine.Silence)" "silence"
+
+let failed e exn =
+  let failed = Report.finish ~findings:[ "exception: " ^ Printexc.to_string exn ] ~total:1 in
+  (silence_or e (failed "silence"), failed "model-check")
 
 (* Budget gate, separated from the check so the driver can decide whether
    the shared pair-outcome relation ({!Relation}) must retain its Θ(s²)
@@ -95,26 +115,32 @@ let gate ~max_configs (e : _ Engine.Enumerable.t) space =
   let n = e.Engine.Enumerable.protocol.Engine.Protocol.n in
   let s = Statespace.size space in
   match Configs.count ~states:s ~n with
-  | None ->
-      `Skip
-        (Report.skip ~reason:(Printf.sprintf "configuration count overflows (%d states)" s)
-           "model-check")
-  | Some unrestricted when unrestricted > max_configs || not (Configs.keyable ~states:s ~n) ->
-      `Skip
-        (Report.skip
-           ~reason:
-             (Printf.sprintf "%d configurations exceed budget %d (raise with --max-configs)"
-                unrestricted max_configs)
-           "model-check")
-  | Some _ -> `Run
+  | Some unrestricted when unrestricted <= max_configs -> `Run
+  | count ->
+      let silence =
+        Report.skip
+          ~reason:
+            (Printf.sprintf "configuration space exceeds budget (%d states, budget %d configs)" s
+               max_configs)
+          "silence"
+      in
+      let reason =
+        match count with
+        | None -> Printf.sprintf "configuration count overflows (%d states)" s
+        | Some unrestricted ->
+            Printf.sprintf "%d configurations exceed budget %d (raise with --max-configs)"
+              unrestricted max_configs
+      in
+      `Skip (silence_or e silence, Report.skip ~reason "model-check")
 
 type 'a chain = {
   n : int;
   space : 'a Statespace.t;
   configs : int array array;  (* sorted state indices, in Configs.iter order *)
-  key_to_id : (int, int) Hashtbl.t;
+  key : int array -> int;  (* Configs.key *)
+  id_of_key : int array;  (* -1 for an inadmissible configuration *)
   correct : bool array;
-  moves : bool array;  (* some interaction changes an agent's state *)
+  silent : int list;  (* no interaction changes an agent's state *)
   verdict : Report.stage;
   times : float array Lazy.t;  (* expected interactions to the target set *)
 }
@@ -171,9 +197,34 @@ let solve ~succ ~prob ~comp ~target =
   sweep 1;
   x
 
-(* The weighted chain and its verdict, from an already scanned relation;
-   [Error stage] when the chain cannot be built. The hitting times are
-   solved on their first query, so [check] never pays for them. *)
+(* The silence stage, read off the chain's silent configurations. A
+   silent configuration that is not correct is stuck wrong forever, under
+   any expectation. A silent-stabilizing protocol additionally must have
+   somewhere silent to stabilize to. *)
+let silence_stage (e : _ Engine.Enumerable.t) ~configs ~correct ~silent ~pp_cfg =
+  let incorrect = List.filter (fun id -> not correct.(id)) silent in
+  let missing =
+    if e.Engine.Enumerable.expectation = Engine.Enumerable.Silent_stabilizing && silent = [] then
+      [ "expectation is silent-stabilizing but no silent configuration exists" ]
+    else []
+  in
+  silence_or e
+    (Report.finish
+       ~metrics:
+         [ ("configs", string_of_int configs); ("silent", string_of_int (List.length silent)) ]
+       ~findings:
+         (List.map
+            (fun id -> "silent but incorrect: " ^ pp_cfg id)
+            (List.filteri (fun i _ -> i < Report.max_findings) incorrect)
+         @ missing)
+       ~total:(List.length incorrect + List.length missing)
+       "silence")
+
+(* The silence stage and the weighted chain with its verdict, from an
+   already scanned relation; [Error stage] when the chain cannot be
+   built. The silence stage is read off the enumeration whenever it ran,
+   a region that is not transition-closed included. The hitting times
+   are solved on their first query, so [check] never pays for them. *)
 let build ~pool ~relation (e : _ Engine.Enumerable.t) space =
   let p = e.Engine.Enumerable.protocol in
   let n = p.Engine.Protocol.n in
@@ -183,51 +234,61 @@ let build ~pool ~relation (e : _ Engine.Enumerable.t) space =
      checking is only sound without it, so bail out. *)
   match (Relation.escape_pair relation, Relation.tables relation) with
   | Some pair, _ ->
-      Error
-        (Report.finish
-           ~findings:[ "state-space escape at " ^ pair ^ " (see closure stage)" ]
-           ~total:1 "model-check")
+      let failed =
+        Report.finish ~findings:[ "state-space escape at " ^ pair ^ " (see closure stage)" ] ~total:1
+      in
+      (silence_or e (failed "silence"), Error (failed "model-check"))
   | None, None -> invalid_arg "Model_check.check: relation was scanned without keep_tables"
   | None, Some pair_rows -> begin
-      (* Enumerate admissible configurations and intern them by key. *)
-      let rev_configs = ref [] and count = ref 0 in
-      let key_to_id = Hashtbl.create 1024 in
+      (* Enumerate the admissible configurations; a configuration's key is
+         its position in the enumeration. *)
+      let unrestricted =
+        match Configs.count ~states:s ~n with
+        | Some c -> c
+        | None -> invalid_arg "Model_check: configuration count overflows"
+      in
+      let key = Configs.key ~states:s ~n in
+      let id_of_key = Array.make unrestricted (-1) in
+      let rev_configs = ref [] and count = ref 0 and position = ref 0 in
       Configs.iter ~states:s ~n (fun idx ->
           let config = Array.map (Statespace.state space) idx in
           if e.Engine.Enumerable.admissible config then begin
-            let idx = Array.copy idx in
-            Hashtbl.replace key_to_id (Configs.key ~states:s idx) !count;
-            rev_configs := idx :: !rev_configs;
+            id_of_key.(!position) <- !count;
+            rev_configs := Array.copy idx :: !rev_configs;
             incr count
-          end);
+          end;
+          incr position);
       let configs = Array.of_list (List.rev !rev_configs) in
       let total = Array.length configs in
       let materialize id = Array.map (Statespace.state space) configs.(id) in
-      let pp_cfg id = Format.asprintf "%a" (Silence_scan.pp_config p) (materialize id) in
+      let pp_cfg id = Format.asprintf "%a" (pp_config p) (materialize id) in
       let correct =
         Engine.Pool.init pool total (fun id -> e.Engine.Enumerable.correct (materialize id))
       in
       let succ_results =
         Engine.Pool.init pool total (fun id ->
-            successors ~states:s ~pair_rows ~key_to_id configs.(id))
+            successors ~pair_rows ~key ~id_of_key configs.(id))
       in
       let succ = Array.map (fun (out, _, _) -> Array.of_list (List.map fst out)) succ_results in
       let prob = Array.map (fun (out, _, _) -> Array.of_list (List.map snd out)) succ_results in
       let moves = Array.map (fun (_, moves, _) -> moves) succ_results in
+      let silent = List.filter (fun id -> not moves.(id)) (List.init total Fun.id) in
+      let silence = silence_stage e ~configs:total ~correct ~silent ~pp_cfg in
       let inadmissible = Array.to_list succ_results |> List.concat_map (fun (_, _, m) -> m) in
       if inadmissible <> [] then
-        Error
-          (Report.finish
-             ~metrics:[ ("configs", string_of_int total) ]
-             ~findings:
-               [
-                 Printf.sprintf
-                   "admissible region is not transition-closed (%d escaping edges), e.g. -> %s"
-                   (List.length inadmissible)
-                   (Format.asprintf "%a" (Silence_scan.pp_config p)
-                      (Array.map (Statespace.state space) (List.hd inadmissible)));
-               ]
-             ~total:1 "model-check")
+        ( silence,
+          Error
+            (Report.finish
+               ~metrics:[ ("configs", string_of_int total) ]
+               ~findings:
+                 [
+                   Printf.sprintf
+                     "admissible region is not transition-closed (%d escaping edges), e.g. -> %s"
+                     (List.length inadmissible)
+                     (Format.asprintf "%a" (pp_config p)
+                        (Array.map (Statespace.state space) (List.hd inadmissible)));
+                 ]
+               ~total:1 "model-check") )
       else begin
         let comp, ncomp = tarjan succ in
         let bottom = Array.make ncomp true in
@@ -295,37 +356,38 @@ let build ~pool ~relation (e : _ Engine.Enumerable.t) space =
         (* the target: correct configurations of bottom SCCs — for a
            silent protocol, the silent correct ones *)
         let target = Array.mapi (fun id ok -> ok && bottom.(comp.(id))) correct in
-        Ok
-          {
-            n;
-            space;
-            configs;
-            key_to_id;
-            correct;
-            moves;
-            verdict;
-            times = lazy (solve ~succ ~prob ~comp ~target);
-          }
+        ( silence,
+          Ok
+            {
+              n;
+              space;
+              configs;
+              key;
+              id_of_key;
+              correct;
+              silent;
+              verdict;
+              times = lazy (solve ~succ ~prob ~comp ~target);
+            } )
       end
     end
 
 let check ~pool ~relation e space =
-  match build ~pool ~relation e space with Error stage -> stage | Ok chain -> chain.verdict
+  let silence, chain = build ~pool ~relation e space in
+  (silence, match chain with Error stage -> stage | Ok chain -> chain.verdict)
 
 let chain ~pool (e : _ Engine.Enumerable.t) =
   let space = Statespace.of_enumerable e in
   let relation = Relation.scan ~pool ~keep_tables:true e space in
   match build ~pool ~relation e space with
-  | Error stage -> failwith ("Model_check.chain: " ^ String.concat "; " stage.Report.findings)
-  | Ok chain -> chain
+  | _, Error stage -> failwith ("Model_check.chain: " ^ String.concat "; " stage.Report.findings)
+  | _, Ok chain -> chain
 
 let configurations t = Array.length t.configs
 
-let absorbing_ids t = List.filter (fun id -> not t.moves.(id)) (List.init (configurations t) Fun.id)
+let absorbing t = List.length t.silent
 
-let absorbing t = List.length (absorbing_ids t)
-
-let all_absorbing_correct t = List.for_all (fun id -> t.correct.(id)) (absorbing_ids t)
+let all_absorbing_correct t = List.for_all (fun id -> t.correct.(id)) t.silent
 
 (* A failed verdict (a bottom SCC without a correct configuration) keeps
    the solver away: some configuration never reaches the target. *)
@@ -346,9 +408,9 @@ let expected_time t config =
       config
   in
   Array.sort compare idx;
-  match Hashtbl.find_opt t.key_to_id (Configs.key ~states:(Statespace.size t.space) idx) with
-  | Some id -> (times t).(id) /. float_of_int t.n
-  | None -> invalid_arg "Model_check.expected_time: inadmissible configuration"
+  let id = t.id_of_key.(t.key idx) in
+  if id < 0 then invalid_arg "Model_check.expected_time: inadmissible configuration";
+  (times t).(id) /. float_of_int t.n
 
 (* The first configuration in enumeration order within relative 1e-9 of the
    maximum, so that exact ties (symmetric configurations) do not hang on

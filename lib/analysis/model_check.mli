@@ -29,6 +29,17 @@
     successor lists are built in parallel over the {!Engine.Pool}; Tarjan
     runs sequentially. Budget overruns produce a [Skip], not a failure.
 
+    The same enumeration decides silence (the paper's Section 2 notion
+    behind Observation 2.2): a configuration is silent when no
+    interaction changes any agent's state. The [silence] stage counts
+    the silent configurations and certifies {e silent ⇒ correct}: a
+    silent incorrect configuration is a permanent failure under every
+    expectation. A silent-stabilizing descriptor must also have at least
+    one silent configuration; for the loosely-stabilizing protocol the
+    [silent = 0] metric is itself the certificate that it is not silent.
+    The stage is skipped, not failed, for randomized protocols (silence
+    is undefined without a single successor) and over the budget.
+
     The same chain answers the exact oracle's queries ({!chain}): the
     expected parallel time to reach the {e target}, the correct
     configurations of bottom SCCs (for a silent protocol, the silent
@@ -43,15 +54,35 @@
     sweeps raises [Failure] instead of returning. *)
 
 val gate :
-  max_configs:int -> 'a Engine.Enumerable.t -> 'a Statespace.t -> [ `Run | `Skip of Report.stage ]
-(** Decide up front whether the configuration space fits the budget. The
-    driver uses this to ask the shared {!Relation} scan to retain its
-    Θ(s²) pair-outcome index table only when the check will actually run. *)
+  max_configs:int ->
+  'a Engine.Enumerable.t ->
+  'a Statespace.t ->
+  [ `Run | `Skip of Report.stage * Report.stage ]
+(** Decide up front whether the configuration space fits the budget; a
+    skip carries the [silence] and [model-check] stages. The driver uses
+    this to ask the shared {!Relation} scan to retain its Θ(s²)
+    pair-outcome index table only when the check will actually run. *)
 
 val check :
-  pool:Engine.Pool.t -> relation:'a Relation.t -> 'a Engine.Enumerable.t -> 'a Statespace.t -> Report.stage
-(** Run the check against an already-scanned relation (must have been
-    scanned with [keep_tables:true]; raises [Invalid_argument] otherwise). *)
+  pool:Engine.Pool.t ->
+  relation:'a Relation.t ->
+  'a Engine.Enumerable.t ->
+  'a Statespace.t ->
+  Report.stage * Report.stage
+(** The [silence] and [model-check] stages from one chain build against
+    an already-scanned relation (must have been scanned with
+    [keep_tables:true]; raises [Invalid_argument] otherwise). The silence
+    stage is read off the enumeration whenever it ran, even if the
+    admissible region is not transition-closed; when an outcome escapes
+    the declared space it fails with [model-check]'s finding. *)
+
+val failed : 'a Engine.Enumerable.t -> exn -> Report.stage * Report.stage
+(** Both stages when building the chain raised [exn]: each fails with
+    the exception, except that a randomized descriptor's silence stays
+    skipped. *)
+
+val pp_config : 'a Engine.Protocol.t -> Format.formatter -> 'a array -> unit
+(** Multiset rendering, e.g. ["[3 F(timer=2), L(timer=4)]"]. *)
 
 type 'a chain
 (** The weighted configuration chain of one descriptor, with the verdict
@@ -70,7 +101,8 @@ val configurations : 'a chain -> int
 val absorbing : 'a chain -> int
 (** Number of silent configurations: those in which no interaction
     changes any agent's state (a swap of two distinct states counts as a
-    change, though the multiset stays the same). *)
+    change, though the multiset stays the same). The [silence] stage's
+    [silent] metric is this count. *)
 
 val all_absorbing_correct : 'a chain -> bool
 (** [true] iff every absorbing configuration satisfies [correct] — the

@@ -9,7 +9,7 @@ type row = {
   outcomes : int;
   escapes : string list;
   escape_count : int;
-  first_escape : string option;  (* "(a, b)" of the row's first escaping pair *)
+  first_escape : string option;  (* "(a, b)" of the row's first escaping or drawing pair *)
   violations : string list;
   violation_count : int;
   table : ((int * int) * float) list array option;  (* per responder; meaningless rows with escapes *)
@@ -49,10 +49,16 @@ let scan_row (e : _ Engine.Enumerable.t) space ~keep_tables i =
       Coins.enumerate ~max_draws:e.Engine.Enumerable.max_draws (fun rng ->
           p.Engine.Protocol.transition rng (Statespace.state space i) b)
     in
+    let note_escape () =
+      if !first_escape = None then
+        first_escape :=
+          Some (Format.asprintf "(%a, %a)" p.Engine.Protocol.pp a p.Engine.Protocol.pp b)
+    in
     if p.Engine.Protocol.deterministic then begin
       match outs with
       | [ { Coins.trace = []; _ } ] -> ()
       | _ ->
+          note_escape ();
           record escape_count escapes (fun () ->
               Format.asprintf "(%a, %a): protocol claims deterministic but drew randomness"
                 p.Engine.Protocol.pp a p.Engine.Protocol.pp b)
@@ -64,9 +70,7 @@ let scan_row (e : _ Engine.Enumerable.t) space ~keep_tables i =
         let side tag out =
           let idx = Statespace.index space out in
           if idx < 0 then begin
-            if !first_escape = None then
-              first_escape :=
-                Some (Format.asprintf "(%a, %a)" p.Engine.Protocol.pp a p.Engine.Protocol.pp b);
+            note_escape ();
             record escape_count escapes (fun () ->
                 Format.asprintf "(%a, %a) -%s-> %s %a: escapes the declared space (%a)"
                   p.Engine.Protocol.pp a p.Engine.Protocol.pp b

@@ -46,8 +46,9 @@ val sum_by_key : ('k * float) list -> ('k * float) list
 (** Sorts by key and sums the weights of equal keys, in list order. *)
 
 val escape_pair : 'a t -> string option
-(** First (scan-order) input pair with an escaping outcome, formatted
-    ["(a, b)"] — the model checker's bail-out message. *)
+(** First (scan-order) input pair with an escaping outcome, or that
+    drew randomness although the protocol claims to be deterministic,
+    formatted ["(a, b)"] — the model checker's bail-out message. *)
 
 val outcomes : 'a t -> int
 (** Total transition outcomes enumerated across all pairs. *)

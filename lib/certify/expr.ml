@@ -94,15 +94,3 @@ let rec cond_of_json j =
   | _ -> Error "expr: unknown condition form"
 
 let equal_cond (a : cond) (b : cond) = a = b
-
-let pp_exp fmt = function
-  | Field name -> Format.pp_print_string fmt name
-  | Const k -> Format.pp_print_int fmt k
-
-let rec pp_cond fmt = function
-  | True -> Format.pp_print_string fmt "true"
-  | Eq (a, b) -> Format.fprintf fmt "%a = %a" pp_exp a pp_exp b
-  | Le (a, b) -> Format.fprintf fmt "%a <= %a" pp_exp a pp_exp b
-  | Not c -> Format.fprintf fmt "not (%a)" pp_cond c
-  | And (a, b) -> Format.fprintf fmt "(%a and %a)" pp_cond a pp_cond b
-  | Or (a, b) -> Format.fprintf fmt "(%a or %a)" pp_cond a pp_cond b

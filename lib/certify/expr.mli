@@ -35,4 +35,3 @@ val cond_to_json : cond -> Telemetry.Json.t
 
 val cond_of_json : Telemetry.Json.t -> (cond, string) result
 val equal_cond : cond -> cond -> bool
-val pp_cond : Format.formatter -> cond -> unit

@@ -9,12 +9,6 @@ type verdict = Holds | Refuted of string | Inapplicable of string
 
 type result = { decl : decl; verdict : verdict; checked_outcomes : int }
 
-let pp_form fmt = function
-  | Noninc_count c -> Format.fprintf fmt "noninc-count(%a)" Expr.pp_cond c
-  | Noninc_max { key; guard } ->
-      Format.fprintf fmt "noninc-max(%s when %a)" key Expr.pp_cond guard
-  | Unique { key; guard } -> Format.fprintf fmt "unique(%s when %a)" key Expr.pp_cond guard
-
 let pp_pair ir fmt (ci, cj) =
   let p = ir.Ir.enumerable.Engine.Enumerable.protocol in
   Format.fprintf fmt "(%a, %a)" p.Engine.Protocol.pp (Ir.decode ir ci) p.Engine.Protocol.pp
@@ -149,5 +143,3 @@ let form_of_json j =
       let* guard = Expr.cond_of_json g in
       Ok (Unique { key; guard })
   | _ -> Error "props: unknown form"
-
-let equal_form (a : form) (b : form) = a = b

@@ -37,5 +37,3 @@ val catalogue : key:string -> decl list
 
 val form_to_json : form -> Telemetry.Json.t
 val form_of_json : Telemetry.Json.t -> (form, string) Stdlib.result
-val equal_form : form -> form -> bool
-val pp_form : Format.formatter -> form -> unit

@@ -46,7 +46,7 @@ val make :
   unit ->
   'a t
 (** Requires [protocol.deterministic]; raises [Invalid_argument] otherwise.
-    States are interned in hash buckets keyed by the polymorphic
+    States are interned through {!Interner}, keyed by the polymorphic
     [Hashtbl.hash], so the protocol's [equal] must coincide with structural
     equality — true for the plain-data states of the deterministic
     protocols in this repository.

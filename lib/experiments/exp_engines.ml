@@ -3,17 +3,40 @@ let name = "engines"
 let description =
   "Engine deltas: compiled kernel vs interpreter, eager vs lazy count-engine closure"
 
+(* Both tables time their two modes the same way: each run is warmed up
+   once and then timed [repeats] times, the two modes in alternation. A
+   wall-clock cell is the median repeat, and a ratio is the median of the
+   per-repeat ratios with their min–max next to it, so host noise shows
+   in the table instead of passing for a result. *)
+let repeats = 5
+
+(* The warm-up results of [a] and [b], and [repeats] result pairs, [a]
+   first in each. *)
+let alternate a b =
+  let warm_a = a () in
+  let warm_b = b () in
+  ((warm_a, warm_b), Array.init repeats (fun _ -> let x = a () in (x, b ())))
+
+let timed run () =
+  let t0 = Unix.gettimeofday () in
+  run ();
+  Unix.gettimeofday () -. t0
+
+let median xs = (Stats.Summary.of_array xs).Stats.Summary.median
+
+(* The median per-repeat ratio, and its rendering with the min–max. *)
+let ratio rounds =
+  let s = Stats.Summary.of_array (Array.map (fun (a, b) -> a /. b) rounds) in
+  ( s.Stats.Summary.median,
+    Printf.sprintf "%.2fx (%.2f-%.2f)" s.Stats.Summary.median s.Stats.Summary.min
+      s.Stats.Summary.max )
+
 (* Kernel-compiler delta table: the same agent-engine interaction loop
    driven by the interpreted transition vs the compiled kernel (memoized
    int-code table). The speedup column is the CI artifact that guards
    the compiler's reason to exist; the kernel columns make a slow compile
-   or a skipped memoization visible next to it. Each loop is warmed up
-   once and then timed [repeats] times, interpreted and compiled in
-   alternation: a throughput cell is the median repeat, and a speedup is
-   the median of the per-repeat ratios with their min–max next to it, so
-   host noise shows in the table instead of passing for a result. *)
-let repeats = 5
-
+   or a skipped memoization visible next to it. A throughput cell is the
+   median repeat. *)
 let kernel_section buf =
   Buffer.add_string buf "== Kernel compiler: compiled vs interpreted step throughput ==\n\n";
   let steps = 4_000_000 in
@@ -27,24 +50,8 @@ let kernel_section buf =
           "sim speedup (min-max)"; "states"; "table cells"; "compile ms";
         ]
   in
-  let timed run =
-    let t0 = Unix.gettimeofday () in
-    run ();
-    Unix.gettimeofday () -. t0
-  in
   (* per-repeat (interpreted, compiled) wall times *)
-  let rounds interp compiled =
-    interp ();
-    compiled ();
-    Array.init repeats (fun _ ->
-        let i = timed interp in
-        (i, timed compiled))
-  in
-  let median xs = (Stats.Summary.of_array xs).Stats.Summary.median in
-  let speedup rounds =
-    let s = Stats.Summary.of_array (Array.map (fun (i, c) -> i /. c) rounds) in
-    Printf.sprintf "%.2fx (%.2f-%.2f)" s.Stats.Summary.median s.Stats.Summary.min s.Stats.Summary.max
-  in
+  let rounds interp compiled = snd (alternate (timed interp) (timed compiled)) in
   let bench : 'a. label:string -> 'a Engine.Enumerable.t -> init:'a array -> unit =
    fun ~label e ~init ->
     let p = e.Engine.Enumerable.protocol in
@@ -97,8 +104,8 @@ let kernel_section buf =
         label;
         Printf.sprintf "%.2f" (mps (Array.map fst step_rounds));
         Printf.sprintf "%.2f" (mps (Array.map snd step_rounds));
-        speedup step_rounds;
-        speedup sim_rounds;
+        snd (ratio step_rounds);
+        snd (ratio sim_rounds);
         string_of_int m;
         (if kernel.Ir.Kernel.ir.Ir.table = None then "0" else string_of_int (m * m));
         Printf.sprintf "%.1f" (1000.0 *. kernel.Ir.Kernel.compile_s);
@@ -125,7 +132,8 @@ let kernel_section buf =
    there the eager drain is strictly better (silence is provable the
    moment W hits 0, while the lazy engine must tick through unknown
    pairs until every null is cached), so eager remains the default for
-   small initial supports. *)
+   small initial supports. The wall-clock cells are median repeats, and
+   each row's verdict reads the median eager/lazy ratio. *)
 let closure_section buf =
   Buffer.add_string buf "== Count engine: eager vs lazy closure (run to silence) ==\n\n";
   let table =
@@ -136,61 +144,62 @@ let closure_section buf =
           "cache cells"; "closure"; "wall s"; "events/s";
         ]
   in
-  let bench : 'a. label:string -> protocol:'a Engine.Protocol.t -> init:'a array -> float array =
+  let deltas = ref [] in
+  let bench : 'a. label:string -> protocol:'a Engine.Protocol.t -> init:'a array -> unit =
    fun ~label ~protocol ~init ->
     let n = protocol.Engine.Protocol.n in
-    Array.map
-      (fun eager ->
-        let rng = Prng.create ~seed:2024 in
-        let cs =
-          Engine.Count_sim.make ~init_probe:eager ~protocol ~init:(Array.copy init) ~rng ()
-        in
-        let exec = Engine.Exec.of_count_sim cs in
-        let silent () = Engine.Exec.silent exec = Some true in
-        let t0 = Unix.gettimeofday () in
-        Engine.Runner.run_while exec ~max_interactions:(100 * n * n) (fun () -> not (silent ()));
-        let wall = Unix.gettimeofday () -. t0 in
-        let events = Engine.Exec.events exec in
+    let run eager () =
+      let rng = Prng.create ~seed:2024 in
+      let cs = Engine.Count_sim.make ~init_probe:eager ~protocol ~init:(Array.copy init) ~rng () in
+      let exec = Engine.Exec.of_count_sim cs in
+      let silent () = Engine.Exec.silent exec = Some true in
+      let t0 = Unix.gettimeofday () in
+      Engine.Runner.run_while exec ~max_interactions:(100 * n * n) (fun () -> not (silent ()));
+      let wall = Unix.gettimeofday () -. t0 in
+      (* every run of a mode is the same run: the counts come from its warm-up *)
+      let counts =
+        [
+          string_of_bool (silent ());
+          string_of_int (Engine.Exec.events exec);
+          string_of_int (Engine.Exec.interactions exec);
+          string_of_int (Engine.Count_sim.pairs_probed cs);
+          string_of_int (Engine.Count_sim.pairs_cached cs);
+          string_of_int (Engine.Count_sim.closure_size cs);
+        ]
+      in
+      (counts, Engine.Exec.events exec, wall)
+    in
+    let (eager, lazy_), rounds = alternate (run true) (run false) in
+    let walls = Array.map (fun ((_, _, e), (_, _, l)) -> (e, l)) rounds in
+    List.iter
+      (fun (mode, (counts, events, _), wall) ->
         Stats.Table.add_row table
-          [
-            label;
-            (if eager then "eager" else "lazy");
-            string_of_bool (silent ());
-            string_of_int events;
-            string_of_int (Engine.Exec.interactions exec);
-            string_of_int (Engine.Count_sim.pairs_probed cs);
-            string_of_int (Engine.Count_sim.pairs_cached cs);
-            string_of_int (Engine.Count_sim.closure_size cs);
-            Printf.sprintf "%.3f" wall;
-            Printf.sprintf "%.0f" (float_of_int events /. wall);
-          ];
-        wall)
-      [| true; false |]
+          ((label :: mode :: counts)
+          @ [ Printf.sprintf "%.3f" wall; Printf.sprintf "%.0f" (float_of_int events /. wall) ]))
+      [
+        ("eager", eager, median (Array.map fst walls));
+        ("lazy", lazy_, median (Array.map snd walls));
+      ];
+    deltas := (label, ratio walls) :: !deltas
   in
-  let deltas = ref [] in
-  let record label walls = deltas := (label, walls.(0) /. walls.(1)) :: !deltas in
   (* dense: Optimal-Silent's counter states almost all interact *)
   List.iter
     (fun n ->
       let params = Core.Params.optimal_silent n in
       let protocol = Core.Optimal_silent.protocol ~params ~n () in
       let init = Core.Scenarios.optimal_uniform (Prng.create ~seed:7) ~params ~n in
-      record
-        (Printf.sprintf "optimal-silent n=%d (dense)" n)
-        (bench ~label:(Printf.sprintf "optimal-silent n=%d (dense)" n) ~protocol ~init))
+      bench ~label:(Printf.sprintf "optimal-silent n=%d (dense)" n) ~protocol ~init)
     [ 64; 128 ];
   (* sparse negative control: only the rank diagonal is productive *)
   let n = 64 in
   let protocol = Core.Silent_n_state.protocol ~n in
   let init = Core.Scenarios.silent_uniform (Prng.create ~seed:7) ~n in
-  record
-    (Printf.sprintf "silent-n-state n=%d (sparse)" n)
-    (bench ~label:(Printf.sprintf "silent-n-state n=%d (sparse)" n) ~protocol ~init);
+  bench ~label:(Printf.sprintf "silent-n-state n=%d (sparse)" n) ~protocol ~init;
   Buffer.add_string buf (Stats.Table.render table ^ "\n\n");
   List.iter
-    (fun (label, ratio) ->
-      Printf.bprintf buf "%s: eager/lazy wall-clock ratio %.2fx (%s)\n" label ratio
-        (if ratio >= 1.0 then "lazy wins" else "eager wins"))
+    (fun (label, (median, shown)) ->
+      Printf.bprintf buf "%s: eager/lazy wall-clock ratio %s (%s)\n" label shown
+        (if median >= 1.0 then "lazy wins" else "eager wins"))
     (List.rev !deltas);
   Buffer.add_char buf '\n'
 

@@ -14,6 +14,11 @@
       the eager drain wins. One [eager/lazy wall-clock ratio] verdict line
       per row follows the table.
 
+    Both tables warm each mode up once and then time 5 repeats, the two
+    modes in alternation: wall-clock cells are median repeats, and
+    speedups and verdicts read the median per-repeat ratio, shown with
+    its min–max.
+
     Sizes and seeds are fixed (mode, seed and jobs are ignored), so every
     column except the wall-clock ones is identical across runs. *)
 

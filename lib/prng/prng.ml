@@ -72,8 +72,6 @@ let scripted choices =
   let g = of_seed64 0L in
   { g with script = Some { pending = choices; trace = [] } }
 
-let is_scripted g = g.script <> None
-
 let script_trace g =
   match g.script with
   | None -> invalid_arg "Prng.script_trace: generator is not scripted"

@@ -24,9 +24,6 @@ val scripted : int list -> t
     primitives ({!bits64}, {!float}, {!bernoulli}, {!split}) raise
     [Invalid_argument] in scripted mode. *)
 
-val is_scripted : t -> bool
-(** [true] iff the generator was built by {!scripted}. *)
-
 val script_trace : t -> (int * int) list
 (** The [(choice, bound)] pairs drawn so far from a scripted generator, in
     draw order. Raises [Invalid_argument] on a non-scripted generator. *)

@@ -42,6 +42,3 @@ let semilog_x pts =
       pts
   in
   linear mapped
-
-let pp_fit fmt f =
-  Format.fprintf fmt "slope=%.3f intercept=%.3f r2=%.4f" f.slope f.intercept f.r2

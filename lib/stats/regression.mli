@@ -22,5 +22,3 @@ val log_log : (float * float) list -> fit
 val semilog_x : (float * float) list -> fit
 (** [semilog_x pts] fits [y = slope · ln x + intercept]; a good fit with
     positive slope indicates Θ(log n) scaling. *)
-
-val pp_fit : Format.formatter -> fit -> unit

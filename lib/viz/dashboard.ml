@@ -69,84 +69,25 @@ let snapshot_json ?(dropped = 0) ~path summaries =
       ("recovery_times", J.List (List.map (fun t -> J.Float t) recovery_times));
     ]
 
-(* The page is fully self-contained: inline CSS (palette custom
-   properties, dark mode via prefers-color-scheme with a data-theme
-   override) and inline JS (EventSource client + two hand-rolled SVG
-   strips). No external assets, no clock reads — the x axes below are
-   stream time. *)
+(* The live page shell ({!Live_page}) around the dashboard's tiles, two
+   hand-rolled SVG strips and per-run table. The x axes below are stream
+   time. *)
 let page ~path =
   let html_path = Svg.escape path in
-  Printf.sprintf
-    {html|<!doctype html>
-<html lang="en">
-<head>
-<meta charset="utf-8"/>
-<meta name="viewport" content="width=device-width, initial-scale=1"/>
-<title>soak dashboard — %s</title>
-<style>
-.viz-root {
-  color-scheme: light;
-  --page: #f9f9f7; --surface-1: #fcfcfb;
-  --text-primary: #0b0b0b; --text-secondary: #52514e; --muted: #898781;
-  --grid: #e1e0d9; --baseline: #c3c2b7; --ring: rgba(11,11,11,0.10);
-  --series-1: #2a78d6; --series-2: #eb6834; --series-3: #1baf7a;
-}
-@media (prefers-color-scheme: dark) {
-  :root:where(:not([data-theme="light"])) .viz-root {
-    color-scheme: dark;
-    --page: #0d0d0d; --surface-1: #1a1a19;
-    --text-primary: #ffffff; --text-secondary: #c3c2b7; --muted: #898781;
-    --grid: #2c2c2a; --baseline: #383835; --ring: rgba(255,255,255,0.10);
-    --series-1: #3987e5; --series-2: #d95926; --series-3: #199e70;
-  }
-}
-:root[data-theme="dark"] .viz-root {
-  color-scheme: dark;
-  --page: #0d0d0d; --surface-1: #1a1a19;
-  --text-primary: #ffffff; --text-secondary: #c3c2b7; --muted: #898781;
-  --grid: #2c2c2a; --baseline: #383835; --ring: rgba(255,255,255,0.10);
-  --series-1: #3987e5; --series-2: #d95926; --series-3: #199e70;
-}
-* { box-sizing: border-box; }
-body { margin: 0; }
-.viz-root {
-  min-height: 100vh; background: var(--page); color: var(--text-primary);
-  font-family: system-ui, -apple-system, "Segoe UI", sans-serif;
-  padding: 20px; font-size: 14px;
-}
-header h1 { font-size: 18px; margin: 0 0 2px; }
-header .sub { color: var(--text-secondary); font-size: 12px; margin-bottom: 16px; }
-header code { font-family: ui-monospace, monospace; font-size: 11px; }
-#status { font-weight: 600; }
-#theme { float: right; background: var(--surface-1); color: var(--text-secondary);
-  border: 1px solid var(--ring); border-radius: 6px; cursor: pointer; padding: 2px 8px; }
-.tiles { display: flex; flex-wrap: wrap; gap: 10px; margin-bottom: 16px; }
-.tile { background: var(--surface-1); border: 1px solid var(--ring); border-radius: 8px;
-  padding: 10px 14px; min-width: 108px; }
-.tile .v { font-size: 22px; }
-.tile .l { color: var(--muted); font-size: 11px; margin-top: 2px; }
-.charts { display: flex; flex-wrap: wrap; gap: 12px; margin-bottom: 16px; }
+  Live_page.render
+    ~title:("soak dashboard — " ^ html_path)
+    ~heading:"Live soak dashboard"
+    ~sub:("tailing <code>" ^ html_path ^ "</code>")
+    ~note:"dropped"
+    ~style:
+      {css|.charts { display: flex; flex-wrap: wrap; gap: 12px; margin-bottom: 16px; }
 figure { background: var(--surface-1); border: 1px solid var(--ring); border-radius: 8px;
   margin: 0; padding: 10px 12px 6px; }
 figcaption { color: var(--text-secondary); font-size: 12px; margin-bottom: 4px; }
 svg text { fill: var(--muted); font-size: 10px; font-variant-numeric: tabular-nums; }
-table { border-collapse: collapse; background: var(--surface-1); border: 1px solid var(--ring);
-  border-radius: 8px; font-size: 12px; width: 100%%; }
-th, td { text-align: right; padding: 5px 10px; font-variant-numeric: tabular-nums; }
-th:first-child, td:first-child { text-align: left; font-family: ui-monospace, monospace; }
-th { color: var(--muted); font-weight: 500; border-bottom: 1px solid var(--grid); }
-tr + tr td { border-top: 1px solid var(--grid); }
-</style>
-</head>
-<body>
-<div class="viz-root">
-<header>
-  <button id="theme" title="toggle light/dark">◐</button>
-  <h1>Live soak dashboard</h1>
-  <div class="sub">tailing <code>%s</code> · <span id="status">connecting…</span>
-    <span id="dropped"></span></div>
-</header>
-<section class="tiles">
+|css}
+    ~body:
+      {html|<section class="tiles">
   <div class="tile"><div class="v" id="t-runs">–</div><div class="l">runs</div></div>
   <div class="tile"><div class="v" id="t-events">–</div><div class="l">events</div></div>
   <div class="tile"><div class="v" id="t-avail">–</div><div class="l">availability</div></div>
@@ -165,19 +106,10 @@ tr + tr td { border-top: 1px solid var(--grid); }
     <th>availability</th><th>bursts</th><th>last t</th></tr></thead>
   <tbody id="runs"></tbody>
 </table>
-</div>
-<script>
-"use strict";
-const $ = id => document.getElementById(id);
-const fmt = (x, d) => x == null ? "–" : (+x).toFixed(d == null ? 2 : d);
+|html}
+    ~script:
+      {js|const fmt = (x, d) => x == null ? "–" : (+x).toFixed(d == null ? 2 : d);
 const hist = [];   // [stream end_time, mean availability] per snapshot
-
-$("theme").addEventListener("click", () => {
-  const r = document.documentElement;
-  const dark = r.dataset.theme === "dark" ||
-    (r.dataset.theme !== "light" && matchMedia("(prefers-color-scheme: dark)").matches);
-  r.dataset.theme = dark ? "light" : "dark";
-});
 
 function axisFrame(svg, w, h, pad) {
   return `<line x1="${pad}" y1="${h - pad}" x2="${w - 6}" y2="${h - pad}"
@@ -240,13 +172,4 @@ function draw(s) {
     `<td>${r.violations}</td><td>${fmt(r.availability, 3)}</td>` +
     `<td>${r.bursts.length}</td><td>${fmt(r.end_time, 1)}</td></tr>`).join("");
 }
-
-const es = new EventSource("/events");
-es.onopen = () => { $("status").textContent = "live"; };
-es.onerror = () => { $("status").textContent = "disconnected — retrying"; };
-es.onmessage = e => { draw(JSON.parse(e.data)); $("status").textContent = "live"; };
-</script>
-</body>
-</html>
-|html}
-    html_path html_path
+|js}

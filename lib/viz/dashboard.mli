@@ -6,10 +6,10 @@
     or any bare HTTP server, watchable while [ssr_sim --chaos] is still
     writing the events file. The page renders stat tiles, an
     availability-over-time strip, a pooled recovery-time CDF, and a
-    per-run table, and follows the repo chart conventions (fixed
-    palette, light/dark via [prefers-color-scheme] plus a manual
-    toggle). All timestamps shown come from the event stream, not any
-    clock. *)
+    per-run table inside the shell it shares with {!Fleet_board.page}
+    ({!Live_page}: fixed palette, light/dark via [prefers-color-scheme]
+    plus a manual toggle). All timestamps shown come from the event
+    stream, not any clock. *)
 
 val snapshot_json :
   ?dropped:int -> path:string -> Telemetry.Timeline.summary list -> Telemetry.Json.t

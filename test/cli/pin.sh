@@ -9,8 +9,9 @@
 # engines-closure mode pins the count columns of the eager/lazy closure
 # table. The analyze mode pins
 # the IR dump of every catalogue entry at n = 3 and 4, the certifying
-# report and the digest of each certificate it writes. The examples
-# mode pins the stdout of each example binary it is given.
+# report and the digest of each certificate it writes. The timeline and
+# plot modes pin the exit codes of usage errors. The examples mode pins
+# the stdout of each example binary it is given.
 #
 #   pin.sh ssr_sim          PATH/ssr_sim.exe          > ssr_sim.out
 #   pin.sh fleet            PATH/fleet.exe            > fleet.out
@@ -18,6 +19,8 @@
 #   pin.sh experiments-slow PATH/experiments_main.exe > experiments_slow.out
 #   pin.sh engines-closure  PATH/experiments_main.exe > engines_closure.out
 #   pin.sh analyze          PATH/analyze.exe          > analyze.out
+#   pin.sh timeline         PATH/timeline.exe         > timeline.out
+#   pin.sh plot             PATH/plot.exe             > plot.out
 #   pin.sh examples         PATH/EXAMPLE.exe...       > examples.out
 set -u
 mode=$1
@@ -183,5 +186,15 @@ analyze)
   echo "exit $?"
   for cert in "$tmp"/certs/*.json; do echo "$(basename "$cert") $(digest "$cert")"; done
   status --n abc
+  ;;
+timeline)
+  # command-line parse errors are usage errors, like a missing file
+  status --port abc x.jsonl
+  status --bogus x.jsonl
+  status missing.jsonl
+  ;;
+plot)
+  status --bogus
+  status --chart bogus x.jsonl
   ;;
 esac

@@ -101,10 +101,20 @@ let test_configs_keys_injective () =
   let s = 5 and n = 3 in
   let seen = Hashtbl.create 64 in
   Analysis.Configs.iter ~states:s ~n (fun cfg ->
-      let k = Analysis.Configs.key ~states:s cfg in
+      let k = Analysis.Configs.key ~states:s ~n cfg in
       check_bool "key unseen" false (Hashtbl.mem seen k);
       Hashtbl.replace seen k ());
   check_int "all keys distinct" 35 (Hashtbl.length seen)
+
+let test_configs_key_is_position () =
+  List.iter
+    (fun (s, n) ->
+      let key = Analysis.Configs.key ~states:s ~n and position = ref 0 in
+      Analysis.Configs.iter ~states:s ~n (fun cfg ->
+          check_int (Printf.sprintf "key of configuration %d (s=%d, n=%d)" !position s n) !position
+            (key cfg);
+          incr position))
+    [ (1, 3); (2, 70); (3, 3); (5, 4); (10, 2) ]
 
 let test_configs_replace_pair () =
   let cfg = [| 0; 1; 1; 4 |] in
@@ -312,6 +322,47 @@ let test_silence_stage_pinned () =
   check_stage "budget skip"
     [ "silence skip ()"; "configuration space exceeds budget (3 states, budget 1 configs)" ]
     (silence_of ~max_configs:1 ranks)
+
+(* The silence stage reads the enumeration even when the chain fails
+   because the admissible region is not transition-closed; when an
+   outcome escapes the declared space there is no enumeration, and it
+   repeats model-check's finding. *)
+let test_silence_stage_beside_failing_chain () =
+  let unclosed =
+    Engine.Enumerable.make
+      ~protocol:
+        (int_protocol ~name:"unclosed" ~n:2 (fun a b -> if a = 0 && b = 0 then (1, 1) else (a, b)))
+      ~states:[ 0; 1 ] ~admissible:(Array.exists (fun s -> s = 0)) ()
+  in
+  check_stage "not transition-closed" [ "silence pass (configs=2, silent=1)" ] (silence_of unclosed);
+  let n = 3 in
+  let truncated =
+    Engine.Enumerable.make ~protocol:(Core.Silent_n_state.protocol ~n)
+      ~states:[ rank0 ~n 0; rank0 ~n 1 ]
+      ()
+  in
+  let r =
+    with_pool (fun pool ->
+        Analysis.Driver.analyze_enumerable ~pool ~max_configs:100 ~key:"silent-truncated"
+          ~table1:false truncated)
+  in
+  let silence = stage_of r "silence" and mc = stage_of r "model-check" in
+  check_bool "escape fails the silence stage" true (silence.Analysis.Report.status = Analysis.Report.Fail);
+  Alcotest.(check (list string)) "with model-check's finding" mc.Analysis.Report.findings
+    silence.Analysis.Report.findings;
+  (* a transition that draws although the protocol claims determinism *)
+  let drawing =
+    Engine.Enumerable.make
+      ~protocol:
+        {
+          (int_protocol ~name:"drawing" ~n:2 (fun a b -> (a, b))) with
+          Engine.Protocol.transition = (fun rng a b -> if Prng.bool rng then (b, a) else (a, b));
+        }
+      ~states:[ 0; 1 ] ~max_draws:1 ()
+  in
+  check_stage "deterministic claim broken"
+    [ "silence FAIL ()"; "state-space escape at (0, 0) (see closure stage)" ]
+    (silence_of drawing)
 
 (* The configuration-by-configuration silence scan, kept as the reference
    for the stage: every admissible configuration over the declared states,
@@ -566,8 +617,12 @@ let suite =
     Alcotest.test_case "lint: false invariant detected" `Quick test_lint_catches_false_invariant;
     Alcotest.test_case "json report renders" `Quick test_json_renders;
     Alcotest.test_case "silence stage pinned" `Quick test_silence_stage_pinned;
+    Alcotest.test_case "silence stage beside a failing chain" `Quick
+      test_silence_stage_beside_failing_chain;
     Alcotest.test_case "silence stage matches Engine.Silence" `Slow
       test_silence_stage_matches_engine_silence;
+    Alcotest.test_case "configs: key is the enumeration position" `Quick
+      test_configs_key_is_position;
     Alcotest.test_case "silence: single agent" `Quick test_silence_single_agent_vacuous;
     Alcotest.test_case "silence: single state multiplicity" `Quick
       test_silence_single_state_multiplicity;

@@ -461,6 +461,46 @@ let test_sse_client_disconnect () =
       Unix.close survivor;
       check_bool "server alive after disconnect" true (contains ~sub:"frame" body))
 
+(* The soak dashboard and the fleet board share one page shell: each
+   served page carries the theme toggle, the [$] helper and the
+   EventSource wiring next to its own tiles. *)
+let test_live_pages_share_shell () =
+  List.iter
+    (fun (name, page, tile) ->
+      let source =
+        {
+          Viz.Serve.page;
+          snapshot = (fun () -> "{}");
+          refresh = (fun () -> false);
+          submit = None;
+          shutdown = (fun () -> ());
+        }
+      in
+      let server = Viz.Serve.of_source ~port:0 source in
+      Fun.protect
+        ~finally:(fun () -> Viz.Serve.close server)
+        (fun () ->
+          let fd = http_get ~port:(Viz.Serve.port server) ~target:"/" in
+          Viz.Serve.poll ~timeout:0.05 server;
+          Viz.Serve.poll ~timeout:0.05 server;
+          let served = read_available fd in
+          Unix.close fd;
+          List.iter
+            (fun sub -> check_bool (Printf.sprintf "%s serves %S" name sub) true (contains ~sub served))
+            [
+              "200 OK";
+              {|<button id="theme"|};
+              {|$("theme").addEventListener("click"|};
+              "const $ = id => document.getElementById(id);";
+              {|new EventSource("/events")|};
+              "function draw(s)";
+              tile;
+            ]))
+    [
+      ("dashboard", Viz.Dashboard.page ~path:"run.jsonl", {|id="t-avail"|});
+      ("fleet board", Viz.Fleet_board.page ~title:"out", {|id="t-queue"|});
+    ]
+
 let suite =
   [
     Alcotest.test_case "scale: linear apply and ticks" `Quick test_scale_linear;
@@ -484,4 +524,6 @@ let suite =
     Alcotest.test_case "serve: http routes and live sse updates" `Quick test_serve_smoke;
     Alcotest.test_case "serve: sse client disconnect drops only that client" `Quick
       test_sse_client_disconnect;
+    Alcotest.test_case "serve: both live pages carry the shared shell" `Quick
+      test_live_pages_share_shell;
   ]
