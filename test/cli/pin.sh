@@ -6,8 +6,9 @@
 #
 # The experiments modes pin the quick-mode reports instead, and the
 # full-mode exact report, minus the per-experiment wall-clock lines; the
-# engines-closure mode pins the count columns of the eager/lazy closure
-# table. The analyze mode pins
+# engines-closure mode pins the kernel table's states and table cells
+# and the count columns of the eager/lazy closure table. The analyze
+# mode pins
 # the IR dump of every catalogue entry at n = 3 and 4, the certifying
 # report and the digest of each certificate it writes. The timeline and
 # plot modes pin the exit codes of usage errors. The examples mode pins
@@ -159,11 +160,17 @@ experiments-slow)
   report table1 chaos
   ;;
 engines-closure)
-  # the closure table (header to the blank line after it), cut before
-  # its two wall-clock columns "wall s" and "events/s"
+  # the kernel table's protocol, states and table cells columns, picked
+  # by header name; then the closure table (header to the blank line
+  # after it), cut before its two wall-clock columns "wall s" and
+  # "events/s"
   "$exe" -e engines 2> "$tmp/err" \
-    | awk '/^scenario / { cut = index($0, "wall s") } cut && /^$/ { exit }
-           cut { line = substr($0, 1, cut - 1); sub(/ +$/, "", line); print line }'
+    | awk -F '  +' '
+        /^protocol / { for (i = 1; i <= NF; i++) col[$i] = i; kernel = 1 }
+        kernel && /^$/ { kernel = 0; print "" }
+        kernel && !/^-/ { print $col["protocol"] "  " $col["states"] "  " $col["table cells"] }
+        /^scenario / { cut = index($0, "wall s") } cut && /^$/ { exit }
+        cut { line = substr($0, 1, cut - 1); sub(/ +$/, "", line); print line }'
   echo "exit ${PIPESTATUS[0]}"
   ;;
 examples)
