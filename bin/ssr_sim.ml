@@ -30,13 +30,20 @@ let topology_of ~n = function
   | other -> usage (Printf.sprintf "unknown topology '%s' (complete | ring | star | regular4)" other)
 
 (* The count engine takes a non-complete topology through its
-   degree-class lumping (Topology.degree_classes). On the star the
-   lumping is exact; on the ring or a random regular graph it is the
-   annealed approximation — warn once, loudly, rather than silently
-   reporting approximate numbers as exact. *)
-let warn_annealed (Run.Plan p) =
+   degree-class lumping (Topology.degree_classes): exact on the star, the
+   annealed approximation on the ring or a random regular graph. [lumping]
+   is that topology and whether its lumping is exact; [None] off the count
+   engine or on the complete graph. *)
+let lumping (Run.Plan p) =
   match (p.kind, p.topology) with
-  | Engine.Exec.Count, Some t when not (Engine.Topology.degree_classes t).Engine.Topology.exact ->
+  | Engine.Exec.Count, Some t -> Some (t, (Engine.Topology.degree_classes t).Engine.Topology.exact)
+  | _ -> None
+
+(* Warn once, loudly, rather than silently reporting approximate numbers
+   as exact; the events manifest records the lumping too. *)
+let warn_annealed plan =
+  match lumping plan with
+  | Some (t, false) ->
       Printf.eprintf
         "warning: degree-class lumping of '%s' is not exact; the count engine runs the annealed \
          approximation (degree sequence honored, wiring resampled every interaction)\n%!"
@@ -89,7 +96,8 @@ let pp_stable (Run.Plan p) exec (o : Engine.Runner.outcome) =
         else Printf.printf "final config silent : unknown (population too large to scan)\n"
 
 (* The events manifest and the metrics dump, once the report is out. *)
-let write_outputs ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics ~t0 (Run.Plan p) values =
+let write_outputs ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics ~t0 (Run.Plan p as plan)
+    values =
   let wall_clock_s = Unix.gettimeofday () -. t0 in
   Option.iter
     (fun path ->
@@ -99,6 +107,10 @@ let write_outputs ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics ~t0 (Run
           ("topology", Telemetry.Json.String topology);
           ("kernel", Telemetry.Json.String (if p.kernel = None then "interp" else "compiled"));
         ]
+        @ (match lumping plan with
+          | Some (_, exact) ->
+              [ ("lumping", Telemetry.Json.String (if exact then "exact" else "annealed")) ]
+          | None -> [])
         @
         match (job.chaos, p.mode) with
         | Some spec, Run.Soak { horizon; sla_budget; _ } ->

@@ -1,26 +1,25 @@
 (** Experiment ENG: the two engine-level optimizations against their
-    baselines.
+    baselines, measured in work rather than time.
 
-    - {b Kernel table} (EXPERIMENTS.md "Experiment IR"): the same random
-      ordered-pair schedule through the interpreted transition and the
-      compiled kernel ({!Ir.Kernel}), plus a full agent-engine run of
-      each. Optimal-Silent-SSR is the expensive transition the memo table
-      pays off on; Silent-n-state-SSR is the negative control, whose
-      transition is already cheaper than a table lookup.
+    - {b Kernel table} (EXPERIMENTS.md "Experiment IR"): per compiled
+      kernel ({!Ir.Kernel}), its states, memo-table cells and static and
+      dynamic pairs, and the source transitions it evaluates per
+      interaction over one fixed-seed agent-engine run (the interpreter
+      evaluates one; a compiled dynamic step evaluates one and adds two
+      encodes). Optimal-Silent-SSR at n = 64 is the expensive transition
+      the memo table removes; Silent-n-state-SSR is the cheap one;
+      Optimal-Silent-SSR at n = 256 is tableless, so compilation removes
+      nothing there.
     - {b Closure table}: a count-engine run to provable silence
       ({!Engine.Runner.run_while} under a 100·n² interaction bound) with
       eager and with lazy pair probing. Dense Optimal-Silent rows are where lazy
       probing wins; sparse Silent-n-state is the negative control, where
-      the eager drain wins. One [eager/lazy wall-clock ratio] verdict line
-      per row follows the table.
+      the eager drain wins. One [eager/lazy cache-cells ratio] verdict
+      line per row follows the table.
 
-    Both tables warm each mode up once and then time 5 repeats, the two
-    modes in alternation: wall-clock cells are median repeats, and
-    speedups and verdicts read the median per-repeat ratio, shown with
-    its min–max.
-
-    Sizes and seeds are fixed (mode, seed and jobs are ignored), so every
-    column except the wall-clock ones is identical across runs. *)
+    Sizes and seeds are fixed (mode, seed and jobs are ignored) and no
+    cell reads a clock, so the report is identical across runs. The
+    wall-clock comparison of the two kernels is perfbench's. *)
 
 val name : string
 val description : string

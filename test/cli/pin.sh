@@ -5,20 +5,16 @@
 # events files themselves are not committed: ring runs write ~6 MB.
 #
 # The experiments modes pin the quick-mode reports instead, and the
-# full-mode exact report, minus the per-experiment wall-clock lines; the
-# engines-closure mode pins the kernel table's states and table cells
-# and the count columns of the eager/lazy closure table. The analyze
-# mode pins
-# the IR dump of every catalogue entry at n = 3 and 4, the certifying
-# report and the digest of each certificate it writes. The timeline and
-# plot modes pin the exit codes of usage errors. The examples mode pins
-# the stdout of each example binary it is given.
+# full-mode exact report, minus the per-experiment wall-clock lines. The
+# analyze mode pins the IR dump of every catalogue entry at n = 3 and 4,
+# the certifying report and the digest of each certificate it writes.
+# The timeline and plot modes pin the exit codes of usage errors. The
+# examples mode pins the stdout of each example binary it is given.
 #
 #   pin.sh ssr_sim          PATH/ssr_sim.exe          > ssr_sim.out
 #   pin.sh fleet            PATH/fleet.exe            > fleet.out
 #   pin.sh experiments      PATH/experiments_main.exe > experiments.out
 #   pin.sh experiments-slow PATH/experiments_main.exe > experiments_slow.out
-#   pin.sh engines-closure  PATH/experiments_main.exe > engines_closure.out
 #   pin.sh analyze          PATH/analyze.exe          > analyze.out
 #   pin.sh timeline         PATH/timeline.exe         > timeline.out
 #   pin.sh plot             PATH/plot.exe             > plot.out
@@ -31,12 +27,15 @@ trap 'rm -rf "$tmp"' EXIT
 
 digest() { md5sum < "$1" | cut -d' ' -f1; }
 
-# ssr ARGS...: stdout, exit code and events digest of one ssr_sim run.
+# ssr ARGS...: stdout, exit code and events digest of one ssr_sim run,
+# and the lumping its manifest records (count engine, non-complete
+# topology only).
 ssr() {
   echo "== ssr_sim $*"
   "$exe" "$@" --events "$tmp/ev.jsonl" 2> "$tmp/err" | grep -v '^kernel'
   echo "exit ${PIPESTATUS[0]}"
   if [ -f "$tmp/ev.jsonl" ]; then echo "events $(digest "$tmp/ev.jsonl")"; fi
+  sed -n 's/.*"lumping":"\([a-z]*\)".*/lumping \1/p' "$tmp/ev.jsonl.manifest.json" 2> /dev/null
   rm -f "$tmp"/ev.jsonl*
 }
 
@@ -148,30 +147,15 @@ JOBS
   status --workers abc
   ;;
 experiments)
-  # every experiment but table1 and chaos (slow, see below) and engines
-  # (its table cells are wall-clock readings)
+  # every experiment but table1 and chaos (slow, see below)
   report tradeoff figures silent_lb quadratic_lb nonuniform reset scale exact ablation loose \
-    topology scenarios epidemic
+    topology scenarios epidemic engines
   # the exact chain up to n = 7 (under a second)
   report --full exact
   status --jobs abc
   ;;
 experiments-slow)
   report table1 chaos
-  ;;
-engines-closure)
-  # the kernel table's protocol, states and table cells columns, picked
-  # by header name; then the closure table (header to the blank line
-  # after it), cut before its two wall-clock columns "wall s" and
-  # "events/s"
-  "$exe" -e engines 2> "$tmp/err" \
-    | awk -F '  +' '
-        /^protocol / { for (i = 1; i <= NF; i++) col[$i] = i; kernel = 1 }
-        kernel && /^$/ { kernel = 0; print "" }
-        kernel && !/^-/ { print $col["protocol"] "  " $col["states"] "  " $col["table cells"] }
-        /^scenario / { cut = index($0, "wall s") } cut && /^$/ { exit }
-        cut { line = substr($0, 1, cut - 1); sub(/ +$/, "", line); print line }'
-  echo "exit ${PIPESTATUS[0]}"
   ;;
 examples)
   for ex in "${@:2}"; do

@@ -22,4 +22,5 @@ let () =
       ("certify", Test_certify.suite);
       ("viz", Test_viz.suite);
       ("fleet", Test_fleet.suite);
+      ("parsers", Test_parsers.suite);
     ]
