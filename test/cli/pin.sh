@@ -80,6 +80,10 @@ ssr_sim)
   ssr -p optimal -n 32 --seed 5 --kernel compiled
   ssr -p silent -n 256 -s worst-case --seed 3 --engine count
   ssr -p silent -n 256 -s worst-case --seed 3 --engine count --kernel compiled
+  # a lazy count-engine start past the 4096-cell eager limit: one agent
+  # per cell throughout, then a burst whose dead and new cells end that
+  ssr -p optimal -n 5000 -s correct --seed 1 --engine count
+  ssr -p optimal -n 5000 -s correct --seed 1 --engine count --chaos burst:20000,corrupt:0.001 --horizon 20
   # restricted topologies: agent sampler, exact star lumping, compiled kernel
   ssr -p optimal -n 24 -s duplicate-rank --topology ring --seed 2
   ssr -p optimal -n 24 -s duplicate-rank --topology ring --seed 2 --kernel compiled
