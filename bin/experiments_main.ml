@@ -112,7 +112,10 @@ let main list_only full names seed jobs out out_dir =
                  ~path:(Filename.concat dir (name ^ ".manifest.json"))
                  manifest)
              out_dir;
-           Printf.sprintf "%s\n(experiment '%s' took %.1f s wall clock)\n" b name wall_clock_s)
+           (* on stderr, so that a report that reads no clock is
+              byte-identical from run to run *)
+           Printf.eprintf "(experiment '%s' took %.1f s wall clock)\n%!" name wall_clock_s;
+           b ^ "\n")
          selected)
   in
   (match out with

@@ -78,8 +78,9 @@
    weighted by its current mass, in recording order (the pair a weighted
    scan of that list would stop at, in O(log) rather than O(pairs));
    otherwise a pair with at least one endpoint outside P is drawn by
-   Fenwick descent over the probed/unprobed class masses and rejected
-   while already known — the remaining law is uniform over unknown
+   Fenwick descent over the probed/unprobed class masses (by index,
+   when every slot of the tree holds one agent) and rejected while
+   already known — the remaining law is uniform over unknown
    pairs, as required. An unknown pair is probed on the spot: a
    productive outcome is applied as the event; a null outcome *is* the
    consumed interaction (no event) and, when admitted to the cache,
@@ -169,6 +170,10 @@ type 'a t = {
   fenx : Fenwick.t array;
   cell_of_slot_p : veci array;  (* class -> slot -> cell *)
   cell_of_slot_x : veci array;
+  (* class -> slots of fenp / fenx whose weight is not exactly 1: at 0,
+     the tree's slot t holds the agent at position t (see [agent_slot]) *)
+  not_one_p : int array;
+  not_one_x : int array;
   (* pair knowledge *)
   cache : Paircache.t;
   probe_order : veci;  (* cells of P, insertion order *)
@@ -281,6 +286,12 @@ let silent t = if is_silent t then Some true else if t.drained then Some false e
 
 (* ---------- cells ---------- *)
 
+(* Account a slot of class [a] going from weight [was] to [now] in that
+   side's count of not-one slots. *)
+let reweigh not_one a ~was ~now =
+  if was = 1 && now <> 1 then not_one.(a) <- not_one.(a) + 1
+  else if was <> 1 && now = 1 then not_one.(a) <- not_one.(a) - 1
+
 let grow t =
   let cap = Array.length t.states in
   if t.d = cap then begin
@@ -325,6 +336,7 @@ let intern t state cls_id =
     (* new cells start on the unprobed side *)
     t.slot.(i) <- Fenwick.length t.fenx.(cls_id);
     Fenwick.append t.fenx.(cls_id);
+    t.not_one_x.(cls_id) <- t.not_one_x.(cls_id) + 1;
     veci_push t.cell_of_slot_x.(cls_id) i;
     t.p_out.(i) <- adj_empty;
     t.p_in.(i) <- adj_empty;
@@ -426,14 +438,17 @@ let probe t i j =
 (* Move a cell to the probed side: its agent mass migrates from fenx to
    fenp (the fenx slot stays as a permanent zero — P never shrinks). *)
 let mark_probed t k =
-  Fenwick.add t.fenx.(t.cls.(k)) t.slot.(k) (-t.counts.(k));
+  let a = t.cls.(k) and c = t.counts.(k) in
+  Fenwick.add t.fenx.(a) t.slot.(k) (-c);
+  reweigh t.not_one_x a ~was:c ~now:0;
   t.in_p.(k) <- true;
   (* only live cells are ever admitted *)
   t.live_unprobed <- t.live_unprobed - 1;
-  t.slot.(k) <- Fenwick.length t.fenp.(t.cls.(k));
-  Fenwick.append t.fenp.(t.cls.(k));
-  Fenwick.add t.fenp.(t.cls.(k)) t.slot.(k) t.counts.(k);
-  veci_push t.cell_of_slot_p.(t.cls.(k)) k;
+  t.slot.(k) <- Fenwick.length t.fenp.(a);
+  Fenwick.append t.fenp.(a);
+  Fenwick.add t.fenp.(a) t.slot.(k) c;
+  if c <> 1 then t.not_one_p.(a) <- t.not_one_p.(a) + 1;
+  veci_push t.cell_of_slot_p.(a) k;
   veci_push t.probe_order k
 
 (* A cell just became live. While drained, fold it into P by probing it
@@ -461,6 +476,7 @@ let change_count t k delta =
   t.counts.(k) <- was + delta;
   let f = if t.in_p.(k) then t.fenp else t.fenx in
   Fenwick.add f.(t.cls.(k)) t.slot.(k) delta;
+  reweigh (if t.in_p.(k) then t.not_one_p else t.not_one_x) t.cls.(k) ~was ~now:(was + delta);
   if delta > 0 then
     for _ = 1 to delta do Monitor.add t.monitor t.states.(k) done
   else
@@ -538,6 +554,8 @@ let make ?classes ?init_probe ?null_budget ~protocol ~init ~rng () =
       fenx = Array.init nc (fun _ -> Fenwick.create ());
       cell_of_slot_p = Array.init nc (fun _ -> veci_make ());
       cell_of_slot_x = Array.init nc (fun _ -> veci_make ());
+      not_one_p = Array.make nc 0;
+      not_one_x = Array.make nc 0;
       cache;
       probe_order = veci_make ();
       drained = false;
@@ -671,11 +689,18 @@ let select_productive t cp target =
   let key = t.plist.(cp).buf.(Fenwick.find t.pfen.(cp) target) in
   (outcome_fst key, outcome_snd key)
 
+(* The slot of class [a]'s tree [fen] that holds its [target]-th agent.
+   When every slot of that tree holds exactly one agent (its [not_one]
+   count is 0), that is slot [target] itself, the slot [Fenwick.find]
+   would descend to. *)
+let agent_slot fen not_one a target =
+  if not_one.(a) = 0 then target else Fenwick.find fen.(a) target
+
 (* The cell of the [target]-th agent of class [a], probed agents first. *)
 let cell_at t a target =
   let p_mass = ps t a in
-  if target < p_mass then t.cell_of_slot_p.(a).buf.(Fenwick.find t.fenp.(a) target)
-  else t.cell_of_slot_x.(a).buf.(Fenwick.find t.fenx.(a) (target - p_mass))
+  if target < p_mass then t.cell_of_slot_p.(a).buf.(agent_slot t.fenp t.not_one_p a target)
+  else t.cell_of_slot_x.(a).buf.(agent_slot t.fenx t.not_one_x a (target - p_mass))
 
 (* Draw a uniform agent of class [a]; returns its cell. *)
 let draw_cell t a = cell_at t a (Prng.int t.rng (ps t a + xs t a))
@@ -689,14 +714,19 @@ let draw_cell t a = cell_at t a (Prng.int t.rng (ps t a + xs t a))
 let draw_cell_except t a k =
   let p_mass = ps t a in
   let target = Prng.int t.rng (p_mass + xs t a - 1) in
-  let excluded = p_mass + Fenwick.prefix t.fenx.(a) t.slot.(k) - 1 in
+  (* the agents before [k]'s slot and [k]'s own: with one agent per slot,
+     the slot's own position plus one *)
+  let through_k =
+    if t.not_one_x.(a) = 0 then t.slot.(k) + 1 else Fenwick.prefix t.fenx.(a) t.slot.(k)
+  in
+  let excluded = p_mass + through_k - 1 in
   cell_at t a (if target >= excluded then target + 1 else target)
 
 let draw_cell_unprobed t a =
-  t.cell_of_slot_x.(a).buf.(Fenwick.find t.fenx.(a) (Prng.int t.rng (xs t a)))
+  t.cell_of_slot_x.(a).buf.(agent_slot t.fenx t.not_one_x a (Prng.int t.rng (xs t a)))
 
 let draw_cell_probed t a =
-  t.cell_of_slot_p.(a).buf.(Fenwick.find t.fenp.(a) (Prng.int t.rng (ps t a)))
+  t.cell_of_slot_p.(a).buf.(agent_slot t.fenp t.not_one_p a (Prng.int t.rng (ps t a)))
 
 (* Draw a uniform ordered agent pair among those with at least one
    endpoint outside P in class pair (a, b); reject while the drawn cell
@@ -857,3 +887,25 @@ let corrupt t ~rng ~fraction gen =
     replace t ~old_cell ~new_state:(gen rng) ~cls_id:a
   done;
   count
+
+(* ---------- audit ---------- *)
+
+let audit t =
+  let recount cells weight =
+    let c = ref 0 in
+    for u = 0 to cells.len - 1 do
+      if weight cells.buf.(u) <> 1 then incr c
+    done;
+    !c
+  in
+  for a = 0 to t.nc - 1 do
+    let p = recount t.cell_of_slot_p.(a) (fun k -> t.counts.(k)) in
+    (* an x-slot whose cell moved into P keeps weight 0 *)
+    let x = recount t.cell_of_slot_x.(a) (fun k -> if t.in_p.(k) then 0 else t.counts.(k)) in
+    if p <> t.not_one_p.(a) || x <> t.not_one_x.(a) then
+      failwith
+        (Printf.sprintf
+           "Count_sim.audit: class %d keeps %d probed and %d unprobed not-one slots, recounts %d \
+            and %d"
+           a t.not_one_p.(a) t.not_one_x.(a) p x)
+  done

@@ -195,3 +195,11 @@ val corrupt : 'a t -> rng:Prng.t -> fraction:float -> (Prng.t -> 'a) -> int
     Returns the number of corrupted agents. Same contract as
     {!Sim.corrupt}, including [Invalid_argument] on a [fraction] outside
     [0,1]. *)
+
+val audit : 'a t -> unit
+(** Recounts, for each degree class, the slots of its probed and its
+    unprobed agent tree that hold other than exactly one agent, from the
+    cell counts, and raises [Failure] when a recount differs from the
+    count the engine keeps. An agent draw on a tree with no such slot
+    takes the slot at the drawn position without a Fenwick descent, so
+    a wrong kept count would draw the wrong cell. O(cells); for tests. *)

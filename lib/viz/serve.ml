@@ -93,9 +93,8 @@ let find_sub s sub =
   let rec at i = if i + m > n then None else if String.sub s i m = sub then Some i else at (i + 1) in
   at 0
 
-(* (method, target, body) of a complete request; None while bytes are
-   still missing (headers unfinished, or a POST body shorter than its
-   Content-Length). *)
+type request = Incomplete | Malformed | Request of (string * string * string)
+
 let parse_request s =
   let headers_body =
     match find_sub s "\r\n\r\n" with
@@ -106,7 +105,7 @@ let parse_request s =
         | None -> None)
   in
   match headers_body with
-  | None -> None
+  | None -> Incomplete
   | Some (headers, body) -> (
       let first_line =
         match String.index_opt headers '\n' with
@@ -122,21 +121,30 @@ let parse_request s =
               | None -> target ))
         | _ -> ("GET", "/")
       in
+      (* the last Content-Length counts; one that is not a decimal
+         non-negative int makes the request malformed *)
       let content_length =
         String.split_on_char '\n' headers
         |> List.fold_left
              (fun acc line ->
-               match String.index_opt line ':' with
-               | Some i when String.lowercase_ascii (String.trim (String.sub line 0 i)) = "content-length" ->
-                   int_of_string_opt
-                     (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+               match (acc, String.index_opt line ':') with
+               | Error (), _ -> acc
+               | _, Some i
+                 when String.lowercase_ascii (String.trim (String.sub line 0 i)) = "content-length"
+                 -> (
+                   let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
+                   match int_of_string_opt v with
+                   | Some len when String.for_all (fun c -> c >= '0' && c <= '9') v ->
+                       Ok (Some len)
+                   | _ -> Error ())
                | _ -> acc)
-             None
+             (Ok None)
       in
       match content_length with
-      | Some len when String.length body < len -> None
-      | Some len -> Some (meth, target, String.sub body 0 len)
-      | None -> Some (meth, target, body))
+      | Error () -> Malformed
+      | Ok (Some len) when String.length body < len -> Incomplete
+      | Ok (Some len) -> Request (meth, target, String.sub body 0 len)
+      | Ok None -> Request (meth, target, body))
 
 let handle_request t client (meth, target, body) =
   match (meth, target) with
@@ -184,8 +192,15 @@ let read_client t client =
       else begin
         Buffer.add_subbytes client.request t.chunk 0 k;
         match parse_request (Buffer.contents client.request) with
-        | Some req -> handle_request t client req
-        | None -> ()
+        | Request req -> handle_request t client req
+        | Incomplete -> ()
+        | Malformed ->
+            let _ =
+              send t client
+                (response ~status:"400 Bad Request" ~content_type:"text/plain"
+                   "malformed request\n")
+            in
+            drop t client
       end
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> drop t client

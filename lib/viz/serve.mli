@@ -16,7 +16,8 @@
     ([text/event-stream]; one [data: <snapshot>] frame immediately, one
     more per {!notify} or fresh source data), and — when the source
     accepts submissions — [POST /submit] (body handed to the source,
-    [202]/[409] with a JSON reply). Anything else is 404. HTTP support
+    [202]/[409] with a JSON reply). Anything else is 404, and a request
+    whose Content-Length is not a decimal non-negative int is 400. HTTP support
     is the minimum the dashboards need — an observability sidecar, not a
     web server. A subscriber hanging up surfaces as [EPIPE] on the next
     frame and drops only that client; the loop and the other
@@ -35,6 +36,16 @@ type source = {
       (** [POST /submit] handler: body to (accepted, JSON reply) *)
   shutdown : unit -> unit;  (** called by {!close} *)
 }
+
+type request =
+  | Incomplete  (** headers unfinished, or a body shorter than its Content-Length *)
+  | Malformed  (** a Content-Length that is not a decimal non-negative int; answered 400 *)
+  | Request of (string * string * string)  (** method, target without its query, body *)
+
+val parse_request : string -> request
+(** Reads the bytes a client has sent so far. Total: it never raises.
+    The body is cut to the last Content-Length; without one it is
+    everything after the headers. *)
 
 type t
 

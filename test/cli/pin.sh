@@ -4,17 +4,16 @@
 # time), its exit code, and a digest of the events file it wrote. The
 # events files themselves are not committed: ring runs write ~6 MB.
 #
-# The experiments modes pin the quick-mode reports instead, and the
-# full-mode exact report, minus the per-experiment wall-clock lines. The
-# analyze mode pins the IR dump of every catalogue entry at n = 3 and 4,
-# the certifying report and the digest of each certificate it writes.
+# The experiments mode pins the quick-mode reports instead, and the
+# full-mode exact report. The analyze mode pins the IR dump of every
+# catalogue entry at n = 3 and 4, the certifying report and the digest
+# of each certificate it writes.
 # The timeline and plot modes pin the exit codes of usage errors. The
 # examples mode pins the stdout of each example binary it is given.
 #
 #   pin.sh ssr_sim          PATH/ssr_sim.exe          > ssr_sim.out
 #   pin.sh fleet            PATH/fleet.exe            > fleet.out
 #   pin.sh experiments      PATH/experiments_main.exe > experiments.out
-#   pin.sh experiments-slow PATH/experiments_main.exe > experiments_slow.out
 #   pin.sh analyze          PATH/analyze.exe          > analyze.out
 #   pin.sh timeline         PATH/timeline.exe         > timeline.out
 #   pin.sh plot             PATH/plot.exe             > plot.out
@@ -62,15 +61,14 @@ walls() {
 }
 
 # report [--full] NAME...: the named experiments' reports (quick mode
-# unless --full) at seed 2024 on two domains, minus the wall-clock
-# lines; then the exit code.
+# unless --full) at seed 2024 on two domains; then the exit code.
 report() {
   local args=()
   for name in "$@"; do
     case $name in --*) args+=("$name") ;; *) args+=(-e "$name") ;; esac
   done
-  "$exe" "${args[@]}" --seed 2024 --jobs 2 2> "$tmp/err" | grep -v '^(experiment .* wall clock)$'
-  echo "exit ${PIPESTATUS[0]}"
+  "$exe" "${args[@]}" --seed 2024 --jobs 2 2> "$tmp/err"
+  echo "exit $?"
 }
 
 case $mode in
@@ -151,15 +149,12 @@ JOBS
   status --workers abc
   ;;
 experiments)
-  # every experiment but table1 and chaos (slow, see below)
+  # every experiment; table1 and chaos take about 11 s of the total
   report tradeoff figures silent_lb quadratic_lb nonuniform reset scale exact ablation loose \
-    topology scenarios epidemic engines
+    topology scenarios epidemic engines table1 chaos
   # the exact chain up to n = 7 (under a second)
   report --full exact
   status --jobs abc
-  ;;
-experiments-slow)
-  report table1 chaos
   ;;
 examples)
   for ex in "${@:2}"; do

@@ -431,6 +431,93 @@ let test_find_past_branchless_capacity () =
         (Engine.Fenwick.prefix f i)
   done
 
+(* ---------- slots holding one agent ---------- *)
+
+type step = Advance of int | Inject of int * int | Corrupt of int
+
+let qcheck_not_one_counts =
+  (* The engine counts, per class and per side (probed, unprobed), the
+     tree slots that do not hold exactly one agent, and draws an agent by
+     its index when that count is 0. Random advance/inject/corrupt
+     sequences from correct and uniform starts, eager and lazy, over a
+     complete graph cut into two or three classes: after every step the
+     kept counts must equal a recount from the cell counts. *)
+  let n = 12 in
+  let params = Core.Params.optimal_silent n in
+  let p = Core.Optimal_silent.protocol ~params ~n () in
+  let classes nc =
+    let class_of = Array.init n (fun i -> i mod nc) in
+    let members =
+      Array.init nc (fun a ->
+          Array.of_list (List.filter (fun i -> class_of.(i) = a) (List.init n Fun.id)))
+    in
+    let sizes = Array.map Array.length members in
+    {
+      Engine.Topology.graph = "complete";
+      agents = n;
+      nc;
+      class_of;
+      sizes;
+      members;
+      mix =
+        Array.init nc (fun a ->
+            Array.init nc (fun b -> sizes.(a) * (sizes.(b) - if a = b then 1 else 0)));
+      exact = true;
+    }
+  in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun k -> Advance k) (int_range 1 40));
+          (1, map2 (fun i r -> Inject (i, r)) (int_bound (n - 1)) nat);
+          (1, map (fun r -> Corrupt r) nat);
+        ])
+  in
+  let print_step = function
+    | Advance k -> Printf.sprintf "advance %d" k
+    | Inject (i, r) -> Printf.sprintf "inject %d %d" i r
+    | Corrupt r -> Printf.sprintf "corrupt %d" r
+  in
+  let case =
+    QCheck.make
+      ~print:(fun (nc, uniform, init_probe, (seed, steps)) ->
+        Printf.sprintf "nc=%d uniform=%b init_probe=%b seed=%d [%s]" nc uniform init_probe seed
+          (String.concat "; " (List.map print_step steps)))
+      QCheck.Gen.(
+        quad (int_range 2 3) bool bool (pair nat (list_size (int_range 1 25) step)))
+  in
+  QCheck.Test.make ~name:"count engine keeps its not-one slot counts" ~count:200 case
+    (fun (nc, uniform, init_probe, (seed, steps)) ->
+      let rng = Prng.create ~seed in
+      let init =
+        if uniform then Core.Scenarios.optimal_uniform rng ~params ~n
+        else Core.Scenarios.optimal_correct ~n
+      in
+      let cs = Engine.Count_sim.make ~classes:(classes nc) ~init_probe ~protocol:p ~init ~rng () in
+      Engine.Count_sim.audit cs;
+      let random_state r = Core.Scenarios.optimal_random_state (Prng.create ~seed:r) ~params ~n in
+      List.iter
+        (fun s ->
+          match s with
+          | Advance k ->
+              for _ = 1 to k do
+                ignore
+                  (Engine.Count_sim.advance cs
+                     ~until:(Engine.Count_sim.interactions cs + (4 * n)));
+                Engine.Count_sim.audit cs
+              done
+          | Inject (i, r) ->
+              Engine.Count_sim.inject cs i (random_state r);
+              Engine.Count_sim.audit cs
+          | Corrupt r ->
+              ignore
+                (Engine.Count_sim.corrupt cs ~rng:(Prng.create ~seed:r) ~fraction:0.25
+                   (fun rng -> Core.Scenarios.optimal_random_state rng ~params ~n));
+              Engine.Count_sim.audit cs)
+        steps;
+      true)
+
 (* ---------- degree-class lumping ---------- *)
 
 let test_classes_snapshot_and_faults () =
@@ -624,6 +711,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_find_matches_scan;
     Alcotest.test_case "fenwick find past the branchless capacity" `Quick
       test_find_past_branchless_capacity;
+    QCheck_alcotest.to_alcotest qcheck_not_one_counts;
     Alcotest.test_case "classes snapshot and faults" `Quick test_classes_snapshot_and_faults;
     Alcotest.test_case "star lumping silent but incorrect" `Quick
       test_star_lumping_silent_but_incorrect;

@@ -1,6 +1,7 @@
 (* Totality of the parsers of external input: on random strings, and on
    byte mutations and truncations of valid lines, each returns Ok or
-   Error and never raises. *)
+   Error (for the HTTP request parser: a request, incomplete or
+   malformed) and never raises. *)
 
 (* Bytes biased towards the punctuation the parsers branch on. *)
 let char_gen =
@@ -126,6 +127,45 @@ let journal_replay =
           List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
       total "Fleet.Journal.replay" (fun path -> Fleet.Journal.replay ~path) path)
 
+let http_requests =
+  [
+    "GET / HTTP/1.1\r\nHost: x\r\n\r\n";
+    "GET /data.json?t=1 HTTP/1.1\n\n";
+    "POST /submit HTTP/1.1\r\nContent-Length: 16\r\n\r\n{\"id\":\"a\",\"n\":8}";
+    "POST /submit HTTP/1.1\r\ncontent-length : 3\r\nHost: x\r\n\r\nabcdef";
+  ]
+
+(* [Viz.Serve.parse_request] over the bytes a client sent so far. *)
+let http_request =
+  let parse s =
+    match Viz.Serve.parse_request s with
+    | Viz.Serve.Request _ | Incomplete -> Ok ()
+    | Malformed -> Error "malformed"
+  in
+  properties ~name:"Viz.Serve.parse_request" ~count:2000 ~valid:http_requests parse
+
+let http_content_length () =
+  let check label expected s =
+    let got =
+      match Viz.Serve.parse_request s with
+      | Viz.Serve.Request (m, t, b) -> Printf.sprintf "%s %s %S" m t b
+      | Incomplete -> "incomplete"
+      | Malformed -> "malformed"
+    in
+    Alcotest.(check string) label expected got
+  in
+  let post len body = Printf.sprintf "POST /submit HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s" len body in
+  check "cut to length" "POST /submit \"ab\"" (post "2" "abc");
+  check "body still arriving" "incomplete" (post "4" "abc");
+  check "headers unfinished" "incomplete" "GET / HTTP/1.1\r\n";
+  check "query dropped" "GET /data.json \"\"" (List.nth http_requests 1);
+  check "negative" "malformed" (post "-1" "abc");
+  check "signed" "malformed" (post "+2" "abc");
+  check "not a number" "malformed" (post "two" "abc");
+  check "empty" "malformed" (post "" "abc");
+  check "overflow" "malformed" (post "99999999999999999999" "abc");
+  check "hex" "malformed" (post "0x2" "abc")
+
 let valid_lines_parse () =
   let ok name parse lines =
     List.iter
@@ -139,6 +179,12 @@ let valid_lines_parse () =
   ok "Fleet.Job.of_line" Fleet.Job.of_line job_lines;
   ok "Telemetry.Events.of_line" Telemetry.Events.of_line event_lines;
   ok "Certify.Certificate.of_string" Certify.Certificate.of_string certificate_lines;
+  ok "Viz.Serve.parse_request"
+    (fun s ->
+      match Viz.Serve.parse_request s with
+      | Viz.Serve.Request _ -> Ok ()
+      | Incomplete | Malformed -> Error "not a complete request")
+    http_requests;
   List.iter
     (fun l ->
       match Option.map Fleet.Journal.entry_of_json (Result.to_option (Telemetry.Json.parse l)) with
@@ -148,6 +194,7 @@ let valid_lines_parse () =
 
 let suite =
   Alcotest.test_case "valid seed lines parse" `Quick valid_lines_parse
+  :: Alcotest.test_case "Viz.Serve.parse_request: Content-Length" `Quick http_content_length
   :: List.map QCheck_alcotest.to_alcotest
        (properties ~name:"Chaos.Spec.parse" ~count:2000 ~valid:spec_lines Chaos.Spec.parse
        @ properties ~name:"Fleet.Job.of_line" ~count:2000 ~valid:job_lines Fleet.Job.of_line
@@ -155,4 +202,4 @@ let suite =
            Telemetry.Events.of_line
        @ properties ~name:"Certify.Certificate.of_string" ~count:1000 ~valid:certificate_lines
            Certify.Certificate.of_string
-       @ [ journal_replay ])
+       @ http_request @ [ journal_replay ])

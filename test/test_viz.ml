@@ -325,12 +325,14 @@ let test_snapshot_json () =
 
 (* {2 HTTP + SSE smoke: client and server interleaved via poll} *)
 
-let http_get ~port ~target =
+let http_send ~port req =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\n\r\n" target in
   let (_ : int) = Unix.write_substring fd req 0 (String.length req) in
   fd
+
+let http_get ~port ~target =
+  http_send ~port (Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\n\r\n" target)
 
 let read_available fd =
   let buf = Buffer.create 1024 in
@@ -375,6 +377,14 @@ let test_serve_smoke () =
           Unix.close fd;
           check_bool "200 page" true (contains ~sub:"200 OK" page);
           check_bool "self-contained dashboard" true (contains ~sub:"EventSource" page);
+          (* a negative Content-Length is answered 400, and the server
+             goes on serving *)
+          let fd = http_send ~port "POST /submit HTTP/1.1\r\nContent-Length: -1\r\n\r\n" in
+          poll ();
+          poll ();
+          let resp = read_available fd in
+          Unix.close fd;
+          check_bool "400" true (contains ~sub:"400 Bad Request" resp);
           (* a snapshot *)
           let fd = http_get ~port ~target:"/data.json" in
           poll ();
