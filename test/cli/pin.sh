@@ -8,14 +8,17 @@
 # full-mode exact report. The analyze mode pins the IR dump of every
 # catalogue entry at n = 3 and 4, the certifying report and the digest
 # of each certificate it writes.
-# The timeline and plot modes pin the exit codes of usage errors. The
-# examples mode pins the stdout of each example binary it is given.
+# The timeline mode pins the summary of the events of one single soak
+# and one batch soak, with and without a recovery budget, and the exit
+# codes of usage errors; the plot mode pins the exit codes of usage
+# errors. The examples mode pins the stdout of each example binary it is
+# given.
 #
 #   pin.sh ssr_sim          PATH/ssr_sim.exe          > ssr_sim.out
 #   pin.sh fleet            PATH/fleet.exe            > fleet.out
 #   pin.sh experiments      PATH/experiments_main.exe > experiments.out
 #   pin.sh analyze          PATH/analyze.exe          > analyze.out
-#   pin.sh timeline         PATH/timeline.exe         > timeline.out
+#   pin.sh timeline         PATH/timeline.exe PATH/ssr_sim.exe > timeline.out
 #   pin.sh plot             PATH/plot.exe             > plot.out
 #   pin.sh examples         PATH/EXAMPLE.exe...       > examples.out
 set -u
@@ -175,9 +178,25 @@ analyze)
   "$exe" --protocol all --n 3 --n 4 --jobs 2 --certify --certify-dir "$tmp/certs"
   echo "exit $?"
   for cert in "$tmp"/certs/*.json; do echo "$(basename "$cert") $(digest "$cert")"; done
+  echo "== analyze -p reset --n 3 --report json"
+  "$exe" -p reset --n 3 --report json
+  echo "exit $?"
   status --n abc
   ;;
 timeline)
+  ssr_sim=$3
+  "$ssr_sim" -p silent -n 32 -s correct --seed 3 --chaos burst:1000,corrupt:0.2 --horizon 8000 \
+    --engine count --events "$tmp/single.jsonl" > /dev/null 2>&1
+  "$ssr_sim" -p optimal -n 16 -s correct --seed 6 --chaos poisson:0.05,kill-leader --horizon 800 \
+    --trials 3 --jobs 1 --events "$tmp/batch.jsonl" > /dev/null 2>&1
+  for soak in single batch; do
+    for sla in "" "--sla 4000" "--sla 30"; do
+      echo "== timeline $sla $soak.jsonl" | tr -s ' '
+      # shellcheck disable=SC2086
+      "$exe" $sla "$tmp/$soak.jsonl"
+      echo "exit $?"
+    done
+  done
   # command-line parse errors are usage errors, like a missing file
   status --port abc x.jsonl
   status --bogus x.jsonl

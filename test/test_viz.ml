@@ -323,6 +323,15 @@ let test_snapshot_json () =
   let times = Option.get (Telemetry.Json.to_list (get "recovery_times")) in
   check_int "one recovery time" 1 (List.length times)
 
+(* The snapshot the live dashboard streams, byte for byte, over the soak
+   fixture the recovery CDF golden reads. *)
+let test_golden_snapshot () =
+  let summaries = Telemetry.Timeline.fold (load_events "golden/viz_soak.jsonl") in
+  let got =
+    Telemetry.Json.to_string (Viz.Dashboard.snapshot_json ~path:"viz_soak.jsonl" summaries) ^ "\n"
+  in
+  check_string "matches viz_soak.snapshot.json" (read_file "golden/viz_soak.snapshot.json") got
+
 (* {2 HTTP + SSE smoke: client and server interleaved via poll} *)
 
 let http_send ~port req =
@@ -531,6 +540,7 @@ let suite =
     Alcotest.test_case "metrics: record_exec publishes engine counters" `Quick
       test_record_exec;
     Alcotest.test_case "dashboard: snapshot json shape" `Quick test_snapshot_json;
+    Alcotest.test_case "golden: dashboard snapshot json" `Quick test_golden_snapshot;
     Alcotest.test_case "serve: http routes and live sse updates" `Quick test_serve_smoke;
     Alcotest.test_case "serve: sse client disconnect drops only that client" `Quick
       test_sse_client_disconnect;
