@@ -12,7 +12,7 @@ type t = {
   argv : string list;
 }
 
-let git_describe () =
+let describe () =
   try
     let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
     let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
@@ -20,6 +20,18 @@ let git_describe () =
     | Unix.WEXITED 0, Some line when line <> "" -> Some line
     | _ -> None
   with Unix.Unix_error _ | Sys_error _ -> None
+
+(* Spawning git costs milliseconds and a fleet writes a manifest per job
+   attempt, so the revision is described once per process. Fleet workers
+   write manifests from several domains, and [Lazy.force] is not
+   domain-safe: the mutex guards the one spawn. *)
+let git_lock = Mutex.create ()
+let git = ref None
+
+let git_describe () =
+  Mutex.protect git_lock (fun () ->
+      if !git = None then git := Some (describe ());
+      Option.get !git)
 
 let make ~run ?protocol ?engine ?n ~seed ?(trials = 1) ?(jobs = 1) ?(params = []) ~wall_clock_s
     () =

@@ -22,10 +22,6 @@ type t = {
   argv : string list;
 }
 
-val git_describe : unit -> string option
-(** [git describe --always --dirty] of the current directory, or [None]
-    when git or the repository is unavailable. Never raises. *)
-
 val make :
   run:string ->
   ?protocol:string ->
@@ -38,7 +34,9 @@ val make :
   wall_clock_s:float ->
   unit ->
   t
-(** Fills [git] via {!git_describe} and [argv] from [Sys.argv]. [trials]
+(** Fills [git] with [git describe --always --dirty] of the current
+    directory ([None] when git or the repository is unavailable), run
+    once per process, and [argv] from [Sys.argv]. [trials]
     and [jobs] default to 1. *)
 
 val to_json : t -> Json.t
