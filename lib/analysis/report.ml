@@ -62,53 +62,32 @@ let pp_summary fmt reports =
 
 (* --- JSON ------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Telemetry.Json
 
-let json_string s = "\"" ^ json_escape s ^ "\""
+let strings xs = J.List (List.map (fun x -> J.String x) xs)
 
-let json_list items = "[" ^ String.concat "," items ^ "]"
-
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields) ^ "}"
-
-let stage_to_json s =
-  json_obj
+let stage_json s =
+  J.Obj
     [
-      ("stage", json_string s.stage);
-      ("status", json_string (string_of_status s.status));
-      ("metrics", json_obj (List.map (fun (k, v) -> (k, json_string v)) s.metrics));
-      ("findings", json_list (List.map json_string s.findings));
+      ("stage", J.String s.stage);
+      ("status", J.String (string_of_status s.status));
+      ("metrics", J.Obj (List.map (fun (k, v) -> (k, J.String v)) s.metrics));
+      ("findings", strings s.findings);
     ]
 
-let to_json t =
-  json_obj
+let json t =
+  J.Obj
     ([
-       ("key", json_string t.key);
-       ("protocol", json_string t.protocol);
-       ("n", string_of_int t.n);
-       ("expectation", json_string t.expectation);
+       ("key", J.String t.key);
+       ("protocol", J.String t.protocol);
+       ("n", J.Int t.n);
+       ("expectation", J.String t.expectation);
      ]
-    @ (match t.note with None -> [] | Some note -> [ ("note", json_string note) ])
-    @ [
-        ("ok", if ok t then "true" else "false");
-        ("stages", json_list (List.map stage_to_json t.stages));
-      ])
+    @ (match t.note with None -> [] | Some note -> [ ("note", J.String note) ])
+    @ [ ("ok", J.Bool (ok t)); ("stages", J.List (List.map stage_json t.stages)) ])
+
+let to_json t = J.to_string (json t)
 
 let list_to_json reports =
-  json_obj
-    [
-      ("ok", if all_ok reports then "true" else "false");
-      ("reports", json_list (List.map to_json reports));
-    ]
+  J.to_string
+    (J.Obj [ ("ok", J.Bool (all_ok reports)); ("reports", J.List (List.map json reports)) ])
