@@ -5,8 +5,6 @@ type 'a t = {
   sampler : Prng.t -> int;  (* a Prng.pack_pair-packed ordered pair *)
   monitor : 'a Monitor.t;
   mutable interactions : int;
-  mutable last_i : int;  (* -1 before the first interaction *)
-  mutable last_j : int;
 }
 
 let make_with ~sampler ~protocol ~init ~rng =
@@ -21,8 +19,6 @@ let make_with ~sampler ~protocol ~init ~rng =
     sampler;
     monitor = Monitor.create protocol states;
     interactions = 0;
-    last_i = -1;
-    last_j = -1;
   }
 
 let make ~protocol ~init ~rng =
@@ -42,9 +38,7 @@ let step t =
   t.states.(j) <- b';
   Monitor.update t.monitor ~old_state:a ~new_state:a';
   Monitor.update t.monitor ~old_state:b ~new_state:b';
-  t.interactions <- t.interactions + 1;
-  t.last_i <- i;
-  t.last_j <- j
+  t.interactions <- t.interactions + 1
 
 let interactions t = t.interactions
 
@@ -82,5 +76,3 @@ let corrupt t ~rng ~fraction gen =
   count
 
 let snapshot t = Array.copy t.states
-
-let last_pair t = if t.last_i < 0 then None else Some (t.last_i, t.last_j)

@@ -67,6 +67,3 @@ val corrupt : 'a t -> rng:Prng.t -> fraction:float -> (Prng.t -> 'a) -> int
 
 val snapshot : 'a t -> 'a array
 (** Copy of the current configuration. *)
-
-val last_pair : 'a t -> (int * int) option
-(** The (initiator, responder) indices of the most recent interaction. *)

@@ -157,16 +157,22 @@ let test_sim_snapshot_isolated () =
 let test_sim_step_applies_transition () =
   (* Transition that always sets both agents to 7. *)
   let p = toy_protocol ~transition:(fun _ _ _ -> (7, 7)) 3 in
-  let sim = Engine.Sim.make ~protocol:p ~init:[| 1; 2; 3 |] ~rng:(Prng.create ~seed:2) in
+  (* [make]'s own sampler, recording the pair it draws *)
+  let last = ref (-1) in
+  let sampler rng =
+    last := Prng.distinct_pair_packed rng 3;
+    !last
+  in
+  let sim =
+    Engine.Sim.make_with ~sampler ~protocol:p ~init:[| 1; 2; 3 |] ~rng:(Prng.create ~seed:2)
+  in
   Engine.Sim.step sim;
   let sevens = Array.fold_left (fun acc s -> if s = 7 then acc + 1 else acc) 0 (Engine.Sim.snapshot sim) in
   check_int "exactly two agents changed" 2 sevens;
-  match Engine.Sim.last_pair sim with
-  | Some (i, j) ->
-      check_bool "pair distinct" true (i <> j);
-      check_int "initiator updated" 7 (Engine.Sim.state sim i);
-      check_int "responder updated" 7 (Engine.Sim.state sim j)
-  | None -> Alcotest.fail "last_pair missing"
+  let i = Prng.pair_fst !last and j = Prng.pair_snd !last in
+  check_bool "pair distinct" true (i <> j);
+  check_int "initiator updated" 7 (Engine.Sim.state sim i);
+  check_int "responder updated" 7 (Engine.Sim.state sim j)
 
 let test_sim_determinism () =
   let p = toy_protocol ~transition:(fun rng a b -> if Prng.bool rng then (a + 1, b) else (a, b + 1))
