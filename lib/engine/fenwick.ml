@@ -65,7 +65,13 @@ let prefix t i =
    arXiv 1509.05053). Measured on a 2-CPU Xeon with 2 MB of L2 per core,
    2·10^6 uniform finds: branchless 75–96 ns against branchy 119–153 ns
    at 10^4 slots, 191–205 against 214–229 at 2^18, 421–452 against
-   296–320 at 2^19 and 657–785 against 387–396 at 10^6. *)
+   296–320 at 2^19 and 657–785 against 387–396 at 10^6.
+
+   The count engine draws an agent by index, not by [find], while every
+   slot of its class's tree holds one agent, so only lazy runs past 2^18
+   slots with a slot not holding one agent take the branchy side of an
+   agent draw: for example after a fault at n = 10^6. A class pair's tree
+   takes it past 2^18 recorded productive pairs. *)
 let branchless_cap = 1 lsl 18
 
 (* [find t target] with [0 <= target < total t] returns the slot [i] such

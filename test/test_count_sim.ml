@@ -410,26 +410,36 @@ let qcheck_find_matches_scan =
       !ok && Engine.Fenwick.total f = !sum)
 
 let test_find_past_branchless_capacity () =
-  (* 2^18 + 5 slots take the tree to capacity 2^19, where [find] descends
-     with a branch: each found slot must cover its target. *)
-  let slots = (1 lsl 18) + 5 in
+  (* 2^18 + 1 slots take the tree to capacity 2^19, where [find] descends
+     with a branch, and put the last slot past the branchless half. After
+     arbitrary updates, [prefix] of every slot and [find] of every target
+     must equal a cumulative scan of the weights. *)
+  let slots = (1 lsl 18) + 1 in
   let rng = Prng.create ~seed:17 in
+  let weights = Array.init slots (fun i -> if i = slots - 1 then 2 else Prng.int rng 4) in
   let f = Engine.Fenwick.create () in
-  for i = 0 to slots - 1 do
-    Engine.Fenwick.append f;
-    Engine.Fenwick.add f i (Prng.int rng 4)
-  done;
+  Array.iteri
+    (fun i w ->
+      Engine.Fenwick.append f;
+      Engine.Fenwick.add f i w)
+    weights;
   for _ = 1 to 1000 do
-    Engine.Fenwick.add f (Prng.int rng slots) 1
+    let i = Prng.int rng slots in
+    Engine.Fenwick.add f i 1;
+    weights.(i) <- weights.(i) + 1
   done;
-  for _ = 1 to 10_000 do
-    let target = Prng.int rng (Engine.Fenwick.total f) in
-    let i = Engine.Fenwick.find f target in
-    let before = if i = 0 then 0 else Engine.Fenwick.prefix f (i - 1) in
-    if not (before <= target && target < Engine.Fenwick.prefix f i) then
-      Alcotest.failf "target %d found slot %d covering [%d, %d)" target i before
-        (Engine.Fenwick.prefix f i)
-  done
+  let sum = ref 0 in
+  Array.iteri
+    (fun i w ->
+      for target = !sum to !sum + w - 1 do
+        let found = Engine.Fenwick.find f target in
+        if found <> i then Alcotest.failf "target %d: find gave slot %d, the scan %d" target found i
+      done;
+      sum := !sum + w;
+      let prefix = Engine.Fenwick.prefix f i in
+      if prefix <> !sum then Alcotest.failf "prefix of slot %d: %d, the scan %d" i prefix !sum)
+    weights;
+  check_int "total" !sum (Engine.Fenwick.total f)
 
 (* ---------- slots holding one agent ---------- *)
 
