@@ -8,7 +8,10 @@
       engine, kernel and topology once; every trial builds its executor
       from it through [Ir.Kernel.exec] or [Engine.Exec.make].
     - {b One stopping rule.} {!stabilize}: the task, confirmation window
-      and horizon of every run to stability, the experiments' included.
+      and horizon of the runs to stability of [ssr_sim], the fleet and
+      most experiments. [Exp_exact] and [Exp_topology] call
+      [Engine.Runner.run_to_stability] with horizons of their own
+      (1000·n² and 2000·n interactions).
     - {b One trial.} {!stabilize} or [Chaos.Soak.run] over a fresh
       executor, with its events attached to a sink and its engine
       counters published to the ambient metrics registry.
