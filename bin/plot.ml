@@ -38,46 +38,20 @@ let read_json path =
       | Ok json -> json
       | Error msg -> fail "%s: %s" path msg)
 
-let run_label (run : Telemetry.Events.run) =
-  Printf.sprintf "%s / %s" run.Telemetry.Events.protocol run.Telemetry.Events.engine
-
-(* LOAD=FILE inputs: each file is one soak's events, folded to one mean
-   availability sample per (protocol, engine) at that offered load. *)
+(* LOAD=FILE inputs: each file is one soak's events at that offered load. *)
 let availability_series inputs =
-  let samples =
-    List.concat_map
-      (fun input ->
-        let load, path =
-          match String.index_opt input '=' with
-          | Some i -> (
-              let l = String.sub input 0 i in
-              let path = String.sub input (i + 1) (String.length input - i - 1) in
-              match float_of_string_opt l with
-              | Some load when load > 0.0 -> (load, path)
-              | Some _ | None -> fail "bad load in '%s' (want LOAD=FILE, LOAD > 0)" input)
-          | None -> fail "--chart availability takes LOAD=FILE inputs (got '%s')" input
-        in
-        let summaries = Telemetry.Timeline.fold (read_events path) in
-        let by_label =
-          List.fold_left
-            (fun acc (s : Telemetry.Timeline.summary) ->
-              let label = run_label s.Telemetry.Timeline.run in
-              let prev = match List.assoc_opt label acc with Some l -> l | None -> [] in
-              (label, s :: prev) :: List.remove_assoc label acc)
-            [] summaries
-        in
-        List.rev_map
-          (fun (label, group) -> (label, (load, Viz.Charts.mean_availability group)))
-          by_label)
-      inputs
-  in
-  (* group points per label, preserving first-appearance series order *)
-  List.fold_left
-    (fun acc (label, point) ->
-      match List.assoc_opt label acc with
-      | Some _ -> List.map (fun (l, ps) -> if l = label then (l, ps @ [ point ]) else (l, ps)) acc
-      | None -> acc @ [ (label, [ point ]) ])
-    [] samples
+  Viz.Charts.availability_points
+    (List.map
+       (fun input ->
+         match String.index_opt input '=' with
+         | Some i -> (
+             let l = String.sub input 0 i in
+             let path = String.sub input (i + 1) (String.length input - i - 1) in
+             match float_of_string_opt l with
+             | Some load when load > 0.0 -> (load, Telemetry.Timeline.fold (read_events path))
+             | Some _ | None -> fail "bad load in '%s' (want LOAD=FILE, LOAD > 0)" input)
+         | None -> fail "--chart availability takes LOAD=FILE inputs (got '%s')" input)
+       inputs)
 
 let build kind title inputs =
   match kind with

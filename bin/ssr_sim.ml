@@ -231,13 +231,11 @@ let run_batch ~(job : Fleet.Job.t) ~topology ~jobs ~events ~metrics plan =
           horizon;
         pp_failures ();
         Chaos.Soak.print_pooled stdout ~n ~trials reports;
-        let avail = List.map (fun (r : Chaos.Soak.report) -> r.availability) reports in
-        let met = List.filter (fun (r : Chaos.Soak.report) -> r.sla.met) reports in
+        let { Telemetry.Timeline.Tally.availability; met; _ } = Chaos.Soak.pool reports in
         ( [
             ("trials", float_of_int trials);
-            ( "availability_mean",
-              if avail = [] then 0.0 else (Stats.Summary.of_list avail).Stats.Summary.mean );
-            ("sla_trials_met", float_of_int (List.length met));
+            ("availability_mean", availability);
+            ("sla_trials_met", float_of_int met);
           ],
           (* SLA misses are data; a trial that raised is a harness failure. *)
           if errors = [] then 0 else 1 )

@@ -56,12 +56,8 @@ let summarize sla_budget path =
       (match sla_budget with
       | None -> ()
       | Some budget ->
-          let misses, censored =
-            List.fold_left
-              (fun (m, c) s ->
-                let v = Telemetry.Timeline.check_sla ~budget s in
-                (m + v.Telemetry.Timeline.sla_misses, c + v.Telemetry.Timeline.sla_censored))
-              (0, 0) summaries
+          let { Telemetry.Timeline.Tally.misses; censored; _ } =
+            Telemetry.Timeline.Tally.of_summaries ~budget summaries
           in
           if misses = 0 && censored = 0 then
             Printf.printf "SLA (budget %.2f): MET across all runs\n" budget

@@ -1,5 +1,3 @@
-type sla = { budget : int; misses : int; censored : int; met : bool }
-
 type report = {
   horizon : int;
   total_interactions : int;
@@ -8,17 +6,16 @@ type report = {
   firings : int;
   faults_applied : int;
   repins : int;
-  bursts : int;
-  absorbed : int;
-  recoveries : int;
-  recovery_times : float array;
+  bursts : Telemetry.Timeline.burst list;
   violations : int;
-  sla : sla;
+  sla : Telemetry.Timeline.sla;
 }
 
 let default_budget ~n = 4 * Engine.Runner.default_confirm ~n
 
 module Timeline = Telemetry.Timeline
+
+let pool rs = Timeline.Tally.pool (List.map (fun r -> (r.availability, r.bursts, Some r.sla)) rs)
 
 let run (type a) ?sla_budget ~schedule ~adversary
     ~(random_state : Prng.t -> a) ~rng ~horizon (exec : a Engine.Exec.t) =
@@ -127,16 +124,9 @@ let run (type a) ?sla_budget ~schedule ~adversary
     fire_due ()
   done;
   Timeline.close timeline ~interactions:!clock ~time:(time ());
-  let bursts = Timeline.bursts timeline in
-  let count p = List.length (List.filter p bursts) in
-  let broke (b : Timeline.burst) = b.Timeline.broke in
-  let recovered =
-    List.filter_map (fun b -> if broke b then Timeline.recovery_interactions b else None) bursts
-  in
-  let misses = List.length (List.filter (fun dt -> dt > budget) recovered) in
-  let censored = count (fun b -> broke b && b.Timeline.recovered_interactions = None) in
   let total = !clock - t0 in
   let correct_interactions = Timeline.correct_interactions timeline in
+  let bursts = Timeline.bursts timeline in
   let report =
     {
       horizon;
@@ -146,40 +136,41 @@ let run (type a) ?sla_budget ~schedule ~adversary
       firings = !firings;
       faults_applied = !faults_applied;
       repins = !repins;
-      bursts = List.length bursts;
-      absorbed = count (fun b -> not (broke b));
-      recoveries = List.length recovered;
-      recovery_times = Array.of_list (List.map (fun dt -> float_of_int dt /. nf) recovered);
+      bursts;
       violations = Timeline.violations timeline;
-      sla = { budget; misses; censored; met = misses = 0 && censored = 0 };
+      sla = Timeline.judge ~budget bursts;
     }
   in
   (match Telemetry.Metrics.ambient () with
   | None -> ()
   | Some reg ->
       let add name v = Telemetry.Metrics.add reg name (float_of_int v) in
+      let { Timeline.Tally.bursts; recovered; censored; misses; _ } = pool [ report ] in
       add "chaos.firings" report.firings;
       add "chaos.faults_applied" report.faults_applied;
       add "chaos.repins" report.repins;
-      add "chaos.bursts" report.bursts;
-      add "chaos.recoveries" report.recoveries;
-      add "chaos.censored" report.sla.censored;
+      add "chaos.bursts" bursts;
+      add "chaos.recoveries" (List.length recovered);
+      add "chaos.censored" censored;
       add "chaos.violations" report.violations;
-      add "chaos.sla_misses" (report.sla.misses + report.sla.censored));
+      add "chaos.sla_misses" (misses + censored));
   report
 
-let mean_recovery r =
-  if Array.length r.recovery_times = 0 then None else Some (Stats.Summary.mean r.recovery_times)
-
-let p95_recovery r =
-  if Array.length r.recovery_times = 0 then None
-  else Some (Stats.Summary.quantile r.recovery_times 0.95)
-
-let max_recovery r =
-  if Array.length r.recovery_times = 0 then None
-  else Some (Array.fold_left Float.max neg_infinity r.recovery_times)
-
 let pt ~n i = float_of_int i /. float_of_int n
+
+(* The burst and recovery-time lines, shared by a soak's report (with its
+   correctness losses between them) and a batch's pooled one. *)
+let print_tally oc ?losses ~pooled t =
+  let { Timeline.Tally.bursts; broke; recovered; censored; _ } = t in
+  Printf.fprintf oc "fault bursts        : %d (%d absorbed, %d recovered, %d censored)\n" bursts
+    (bursts - broke) (List.length recovered) censored;
+  Option.iter (Printf.fprintf oc "correctness losses  : %d\n") losses;
+  if recovered <> [] then begin
+    let s = Stats.Summary.of_list recovered in
+    Printf.fprintf oc "recovery time       : mean %.2f  p95 %.2f  max %.2f (%stime units)\n"
+      s.Stats.Summary.mean s.Stats.Summary.p95 s.Stats.Summary.max
+      (if pooled then "pooled, " else "")
+  end
 
 let print_report oc ~n r =
   Printf.fprintf oc "horizon             : %.2f time units (%d interactions)\n" (pt ~n r.horizon)
@@ -189,46 +180,28 @@ let print_report oc ~n r =
   Printf.fprintf oc "schedule firings    : %d (%d agent states overwritten%s)\n" r.firings
     r.faults_applied
     (if r.repins > 0 then Printf.sprintf ", %d re-pins" r.repins else "");
-  Printf.fprintf oc "fault bursts        : %d (%d absorbed, %d recovered, %d censored)\n" r.bursts
-    r.absorbed r.recoveries r.sla.censored;
-  Printf.fprintf oc "correctness losses  : %d\n" r.violations;
-  (match (mean_recovery r, p95_recovery r, max_recovery r) with
-  | Some mean, Some p95, Some mx ->
-      Printf.fprintf oc "recovery time       : mean %.2f  p95 %.2f  max %.2f (time units)\n" mean
-        p95 mx
-  | _ -> ());
-  Printf.fprintf oc "SLA                 : budget %.2f time units — %s\n" (pt ~n r.sla.budget)
-    (if r.sla.met then "MET"
-     else Printf.sprintf "MISSED (%d over budget, %d censored)" r.sla.misses r.sla.censored)
+  print_tally oc ~losses:r.violations ~pooled:false (pool [ r ]);
+  let { Timeline.sla_budget; sla_met; sla_misses; sla_censored; _ } = r.sla in
+  Printf.fprintf oc "SLA                 : budget %.2f time units — %s\n" (pt ~n sla_budget)
+    (if sla_met then "MET"
+     else Printf.sprintf "MISSED (%d over budget, %d censored)" sla_misses sla_censored)
 
 let print_pooled oc ~n ~trials rs =
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
-  if rs <> [] then begin
-    let avail = Stats.Summary.of_list (List.map (fun r -> r.availability) rs) in
-    Printf.fprintf oc "availability        : mean %.4f  min %.4f  max %.4f\n"
-      avail.Stats.Summary.mean avail.Stats.Summary.min avail.Stats.Summary.max
-  end;
+  let extreme pick init = List.fold_left (fun acc r -> pick acc r.availability) init rs in
+  let t = pool rs in
+  let { Timeline.Tally.availability; met; misses; censored; _ } = t in
+  if rs <> [] then
+    Printf.fprintf oc "availability        : mean %.4f  min %.4f  max %.4f\n" availability
+      (extreme Float.min infinity) (extreme Float.max neg_infinity);
   Printf.fprintf oc "schedule firings    : %d (%d agent states overwritten)\n"
     (sum (fun r -> r.firings))
     (sum (fun r -> r.faults_applied));
-  let censored = sum (fun r -> r.sla.censored) in
-  Printf.fprintf oc "fault bursts        : %d (%d absorbed, %d recovered, %d censored)\n"
-    (sum (fun r -> r.bursts))
-    (sum (fun r -> r.absorbed))
-    (sum (fun r -> r.recoveries))
-    censored;
-  let pooled = List.concat_map (fun r -> Array.to_list r.recovery_times) rs in
-  if pooled <> [] then begin
-    let s = Stats.Summary.of_list pooled in
-    Printf.fprintf oc "recovery time       : mean %.2f  p95 %.2f  max %.2f (pooled, time units)\n"
-      s.Stats.Summary.mean s.Stats.Summary.p95 s.Stats.Summary.max
-  end;
+  print_tally oc ~pooled:true t;
   match rs with
   | first :: _ ->
-      let met = List.length (List.filter (fun r -> r.sla.met) rs) in
       Printf.fprintf oc "SLA                 : budget %.2f time units — %d/%d trials met"
-        (pt ~n first.sla.budget) met trials;
-      if met < trials then
-        Printf.fprintf oc " (%d over budget, %d censored)" (sum (fun r -> r.sla.misses)) censored;
+        (pt ~n first.sla.Timeline.sla_budget) met trials;
+      if met < trials then Printf.fprintf oc " (%d over budget, %d censored)" misses censored;
       output_char oc '\n'
   | [] -> ()

@@ -36,14 +36,8 @@
     installed, every run folds its counters into it
     ([chaos.firings], [chaos.faults_applied], [chaos.repins],
     [chaos.bursts], [chaos.recoveries], [chaos.censored],
-    [chaos.violations], [chaos.sla_misses]). *)
-
-type sla = {
-  budget : int;  (** recovery budget, interactions *)
-  misses : int;  (** recovered bursts over budget *)
-  censored : int;  (** broken bursts never recovered — counted as misses *)
-  met : bool;  (** no misses and nothing censored *)
-}
+    [chaos.violations], [chaos.sla_misses]: misses and censored bursts
+    together). *)
 
 type report = {
   horizon : int;  (** interaction budget of the run *)
@@ -53,13 +47,9 @@ type report = {
   firings : int;  (** schedule arrivals applied *)
   faults_applied : int;  (** agent states overwritten, re-pins included *)
   repins : int;  (** stuck-agent re-injections *)
-  bursts : int;  (** fault bursts ([Telemetry.Timeline] bursts) *)
-  absorbed : int;  (** bursts that never broke correctness *)
-  recoveries : int;  (** broken bursts that re-entered correctness *)
-  recovery_times : float array;
-      (** recovery parallel times (entry − last fault), chronological *)
+  bursts : Telemetry.Timeline.burst list;  (** chronological *)
   violations : int;  (** correctness losses *)
-  sla : sla;
+  sla : Telemetry.Timeline.sla;  (** [Telemetry.Timeline.judge] of [bursts] *)
 }
 
 val default_budget : n:int -> int
@@ -82,10 +72,9 @@ val run :
     {!default_budget}. Schedule arrivals are interpreted relative to the
     executor's clock at call time. *)
 
-val mean_recovery : report -> float option
-val p95_recovery : report -> float option
-val max_recovery : report -> float option
-(** Summary accessors over [recovery_times]; [None] without recoveries. *)
+val pool : report list -> Telemetry.Timeline.Tally.t
+(** The pooled tally of the soaks: their availabilities, bursts and SLA
+    verdicts. *)
 
 val print_report : out_channel -> n:int -> report -> unit
 (** The [ssr_sim --chaos] report block of one soak of population [n]:

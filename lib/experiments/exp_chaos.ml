@@ -14,20 +14,12 @@ let loads = [ 0.25; 1.0; 4.0 ]
 let header =
   [ "protocol"; "engine"; "n"; "load"; "rate"; "trials"; "avail"; "rec mean"; "rec p95"; "cens"; "SLA" ]
 
-let row ~tier ~engine ~n ~load ~rate ~trials reports =
-  let avail =
-    List.fold_left (fun acc r -> acc +. r.Chaos.Soak.availability) 0.0 reports
-    /. float_of_int (List.length reports)
-  in
-  let pooled = List.concat_map (fun r -> Array.to_list r.Chaos.Soak.recovery_times) reports in
-  let censored =
-    List.fold_left (fun acc r -> acc + r.Chaos.Soak.sla.Chaos.Soak.censored) 0 reports
-  in
-  let met = List.length (List.filter (fun r -> r.Chaos.Soak.sla.Chaos.Soak.met) reports) in
+let row ~tier ~engine ~n ~load ~rate ~trials tally =
+  let { Telemetry.Timeline.Tally.availability; recovered; censored; met; _ } = tally in
   let rec_mean, rec_p95 =
-    if pooled = [] then ("-", "-")
+    if recovered = [] then ("-", "-")
     else begin
-      let s = Stats.Summary.of_list pooled in
+      let s = Stats.Summary.of_list recovered in
       (Stats.Table.cell_float s.Stats.Summary.mean, Stats.Table.cell_float s.Stats.Summary.p95)
     end
   in
@@ -38,7 +30,7 @@ let row ~tier ~engine ~n ~load ~rate ~trials reports =
     Printf.sprintf "%.2f" load;
     Printf.sprintf "%.2g" rate;
     string_of_int trials;
-    Printf.sprintf "%.3f" avail;
+    Printf.sprintf "%.3f" availability;
     rec_mean;
     rec_p95;
     string_of_int censored;
@@ -57,37 +49,27 @@ let sweep (type s) table ~tier ~engine ~(protocol : s Engine.Protocol.t)
   let nf = float_of_int n in
   let horizon = max 1 (int_of_float (20.0 *. t_rec *. nf)) in
   let sla_budget = max 1 (int_of_float (2.0 *. t_rec *. nf)) in
-  let avail_points = ref [] in
-  let recovered = ref [] in
-  let censored = ref 0 in
-  List.iter
-    (fun load ->
-      let rate = load /. t_rec in
-      let reports =
-        Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
-            let exec = Engine.Exec.make ~kind:engine ~protocol ~init:(init rng) ~rng () in
-            Chaos.Soak.run ~sla_budget
-              ~schedule:(Chaos.Schedule.poisson ~rate)
-              ~adversary:(Chaos.Adversary.corrupt ~fraction:0.05)
-              ~random_state ~rng ~horizon exec)
-      in
-      let rl = Array.to_list reports in
-      let avail =
-        List.fold_left (fun acc r -> acc +. r.Chaos.Soak.availability) 0.0 rl
-        /. float_of_int (List.length rl)
-      in
-      avail_points := (load, avail) :: !avail_points;
-      List.iter
-        (fun r ->
-          recovered := List.rev_append (Array.to_list r.Chaos.Soak.recovery_times) !recovered;
-          censored := !censored + r.Chaos.Soak.sla.Chaos.Soak.censored)
-        rl;
-      Stats.Table.add_row table (row ~tier ~engine ~n ~load ~rate ~trials rl))
-    loads;
-  ( Printf.sprintf "%s / %s" tier (Engine.Exec.kind_to_string engine),
-    List.rev !avail_points,
-    List.rev !recovered,
-    !censored )
+  let points, reports =
+    List.split
+      (List.map
+         (fun load ->
+           let rate = load /. t_rec in
+           let reports =
+             Fleet.Run.run_trials ~jobs ~trials ~seed (fun _ rng ->
+                 let exec = Engine.Exec.make ~kind:engine ~protocol ~init:(init rng) ~rng () in
+                 Chaos.Soak.run ~sla_budget
+                   ~schedule:(Chaos.Schedule.poisson ~rate)
+                   ~adversary:(Chaos.Adversary.corrupt ~fraction:0.05)
+                   ~random_state ~rng ~horizon exec)
+             |> Array.to_list
+           in
+           let tally = Chaos.Soak.pool reports in
+           Stats.Table.add_row table (row ~tier ~engine ~n ~load ~rate ~trials tally);
+           ((load, tally.Telemetry.Timeline.Tally.availability), reports))
+         loads)
+  in
+  let { Telemetry.Timeline.Tally.recovered; censored; _ } = Chaos.Soak.pool (List.concat reports) in
+  (Printf.sprintf "%s / %s" tier (Engine.Exec.kind_to_string engine), points, recovered, censored)
 
 let run ~mode ~seed ~jobs =
   let buf = Buffer.create 4096 in

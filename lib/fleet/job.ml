@@ -32,8 +32,8 @@ let id_ok id =
        id
 
 (* A span of parallel time is usable when it is positive and its
-   interaction count ([to_interactions] below) fits an int; NaN and the
-   infinities fail both tests. *)
+   interaction count ([Telemetry.Timeline.to_interactions]) fits an int;
+   NaN and the infinities fail both tests. *)
 let time_ok ~n x = x > 0.0 && Float.ceil (x *. float_of_int n) < Float.of_int max_int
 
 (* All validation lives here, at admission time (ssr_sim's command line
@@ -199,9 +199,8 @@ let to_json t =
 
 (* --horizon and --sla are given in parallel time units; the soak runs on
    the interaction clock. *)
-let to_interactions ~n t = max 1 (int_of_float (Float.ceil (t *. float_of_int n)))
-
 let plan ?topology t =
+  let to_interactions = Telemetry.Timeline.to_interactions ~n:t.n in
   let mode =
     match t.chaos with
     | None -> Ok (Run.Stability { deadline = t.deadline })
@@ -214,9 +213,9 @@ let plan ?topology t =
                 adversary;
                 horizon =
                   (match t.horizon with
-                  | Some x -> to_interactions ~n:t.n x
+                  | Some x -> to_interactions x
                   | None -> 8 * Engine.Runner.default_confirm ~n:t.n);
-                sla_budget = Option.map (to_interactions ~n:t.n) t.sla;
+                sla_budget = Option.map to_interactions t.sla;
               })
           (Chaos.Spec.parse spec)
   in

@@ -78,7 +78,8 @@ val kernel_to_string : kernel -> string
 val plan : ?topology:Engine.Topology.t -> t -> (Run.plan, string) result
 (** The spec as a {!Run.plan}: [chaos] selects a soak of [horizon]
     (default: 8 confirmation windows) with recovery budget [sla], both
-    converted from parallel time to interactions (rounded up); otherwise
+    converted from parallel time to interactions by
+    [Telemetry.Timeline.to_interactions]; otherwise
     a run to stability bounded by [deadline]. Compiles the kernel when
     [kernel = Compiled]. [topology] is for the single-run CLI: fleet jobs
     run on the complete graph. *)

@@ -122,7 +122,7 @@ type outcome = Stable of Engine.Runner.outcome | Soaked of Chaos.Soak.report
 
 let succeeded = function
   | Stable o -> o.Engine.Runner.converged
-  | Soaked r -> r.Chaos.Soak.sla.Chaos.Soak.met
+  | Soaked r -> r.Chaos.Soak.sla.Telemetry.Timeline.sla_met
 
 let stabilize ?deadline ~expected_time exec =
   let n = Engine.Exec.n exec in

@@ -216,33 +216,39 @@ let recovery_time b =
 let recovery_interactions b =
   match b.recovered_interactions with Some i -> Some (i - b.last_interactions) | None -> None
 
+(* Saturates rather than wrapping: a budget past the int range allows
+   every recovery. *)
+let to_interactions ~n t =
+  let x = Float.ceil (t *. float_of_int n) in
+  if x >= Float.of_int max_int then max_int else max 1 (int_of_float x)
+
 type sla = {
-  sla_budget : float;
+  sla_budget : int;
   broke : int;
   sla_misses : int;
   sla_censored : int;
   sla_met : bool;
 }
 
-let check_sla ~budget s =
-  if not (budget > 0.0) then invalid_arg "Timeline.check_sla: budget must be > 0";
-  let broke, misses, censored =
-    List.fold_left
-      (fun (broke, misses, censored) (b : burst) ->
-        if not b.broke then (broke, misses, censored)
-        else
-          match recovery_time b with
-          | Some dt -> (broke + 1, (if dt > budget then misses + 1 else misses), censored)
-          | None -> (broke + 1, misses, censored + 1))
-      (0, 0, 0) s.bursts
-  in
+let over_budget ~budget b =
+  match recovery_interactions b with Some dt -> dt > budget | None -> false
+
+let judge ~budget bursts =
+  let broke = List.filter (fun (b : burst) -> b.broke) bursts in
+  let count p = List.length (List.filter p broke) in
+  let misses = count (over_budget ~budget) in
+  let censored = count (fun b -> b.recovered_at = None) in
   {
     sla_budget = budget;
-    broke;
+    broke = List.length broke;
     sla_misses = misses;
     sla_censored = censored;
     sla_met = misses = 0 && censored = 0;
   }
+
+let check_sla ~budget s =
+  if not (budget > 0.0) then invalid_arg "Timeline.check_sla: budget must be > 0";
+  judge ~budget:(to_interactions ~n:s.run.Events.n budget) s.bursts
 
 let pp_opt_time fmt = function
   | Some t -> Format.fprintf fmt "t=%.2f" t
@@ -250,6 +256,7 @@ let pp_opt_time fmt = function
 
 let pp_summary ?sla_budget fmt s =
   let r = s.run in
+  let sla = Option.map (fun budget -> (budget, check_sla ~budget s)) sla_budget in
   Format.fprintf fmt "run %s (%s engine, protocol %s, n=%d, seed=%d%s)@\n" r.Events.id
     r.Events.engine r.Events.protocol r.Events.n r.Events.seed
     (match r.Events.trial with Some t -> Printf.sprintf ", trial %d" t | None -> "");
@@ -281,18 +288,17 @@ let pp_summary ?sla_budget fmt s =
            | Some dt ->
                Format.fprintf fmt " — re-correct at t=%.2f (recovery %.2f%s)"
                  (Option.get b.recovered_at) dt
-                 (match sla_budget with
-                 | Some budget when dt > budget -> ", OVER SLA"
+                 (match sla with
+                 | Some (_, v) when over_budget ~budget:v.sla_budget b -> ", OVER SLA"
                  | Some _ -> ", within SLA"
                  | None -> "")
            | None -> Format.fprintf fmt " — NOT recovered by end of stream");
         Format.pp_print_newline fmt ())
       s.bursts
   end;
-  match sla_budget with
+  match sla with
   | None -> ()
-  | Some budget ->
-      let v = check_sla ~budget s in
+  | Some (budget, v) ->
       if v.broke = 0 then
         Format.fprintf fmt "  SLA (budget %.2f) : MET (no burst broke correctness)@\n" budget
       else if v.sla_met then
@@ -302,3 +308,37 @@ let pp_summary ?sla_budget fmt s =
       else
         Format.fprintf fmt "  SLA (budget %.2f) : MISSED (%d over budget, %d never recovered)@\n"
           budget v.sla_misses v.sla_censored
+
+module Tally = struct
+  type t = {
+    bursts : int;
+    broke : int;
+    recovered : float list;
+    censored : int;
+    misses : int;
+    met : int;
+    availability : float;
+  }
+
+  let pool runs =
+    let sum f = List.fold_left (fun acc run -> acc + f run) 0 runs in
+    let verdict f = sum (fun (_, _, sla) -> match sla with Some v -> f v | None -> 0) in
+    let broke =
+      List.concat_map (fun (_, bursts, _) -> List.filter (fun (b : burst) -> b.broke) bursts) runs
+    in
+    {
+      bursts = sum (fun (_, bursts, _) -> List.length bursts);
+      broke = List.length broke;
+      recovered = List.filter_map recovery_time broke;
+      censored = List.length (List.filter (fun b -> b.recovered_at = None) broke);
+      misses = verdict (fun v -> v.sla_misses);
+      met = verdict (fun v -> if v.sla_met then 1 else 0);
+      availability =
+        (if runs = [] then 0.0
+         else Stats.Summary.mean (Array.of_list (List.map (fun (a, _, _) -> a) runs)));
+    }
+
+  let of_summaries ?budget summaries =
+    let judged s = Option.map (fun budget -> check_sla ~budget s) budget in
+    pool (List.map (fun s -> (availability s, s.bursts, judged s)) summaries)
+end

@@ -113,26 +113,68 @@ val recovery_interactions : burst -> int option
 
 (** {2 Recovery SLAs}
 
-    A recovery budget in parallel time units, checked against every burst
-    that broke correctness: a recovery slower than the budget is a miss,
-    and a broken burst the stream never recovers from (censored) also
-    counts against the SLA. Soak runs ([Chaos.Soak], [ssr_sim --chaos])
-    apply the same rule to the same bursts on the interaction clock
-    ({!recovery_interactions}); this is the offline equivalent over an
-    events file, in parallel time. *)
+    A recovery budget, checked against every burst that broke
+    correctness: a recovery that takes more interactions than the budget
+    is a miss, and a broken burst the stream never recovers from
+    (censored) also counts against the SLA. The rule is decided once,
+    here, on the interaction clock ({!recovery_interactions}): a soak
+    ([Chaos.Soak], [ssr_sim --chaos]) judges its bursts with {!judge},
+    and an events file's verdict ({!check_sla}, {!pp_summary},
+    [bin/timeline]) converts its budget with {!to_interactions} first,
+    as a job's [sla] is converted, so both read the same verdict off
+    the same bursts. *)
+
+val to_interactions : n:int -> float -> int
+(** [to_interactions ~n t]: [t] parallel time units on the interaction
+    clock of a population of [n], rounded up to whole interactions; at
+    least 1, and [max_int] when the product does not fit an int. *)
 
 type sla = {
-  sla_budget : float;  (** parallel time units *)
+  sla_budget : int;  (** interactions *)
   broke : int;  (** bursts that lost correctness *)
   sla_misses : int;  (** recovered over budget *)
   sla_censored : int;  (** broke but never recovered *)
   sla_met : bool;  (** no misses, nothing censored *)
 }
 
+val judge : budget:int -> burst list -> sla
+(** The verdict of [bursts] against a budget of [budget] interactions. *)
+
 val check_sla : budget:float -> summary -> sla
-(** Requires [budget > 0] (raises [Invalid_argument] otherwise). *)
+(** {!judge} with the budget of [budget] parallel time units converted
+    by {!to_interactions} at the run's population. Requires [budget > 0]
+    (raises [Invalid_argument] otherwise). *)
 
 val pp_summary : ?sla_budget:float -> Format.formatter -> summary -> unit
-(** Human-readable block, one per run. With [sla_budget], each recovered
-    burst is annotated against the budget and an SLA verdict line is
-    appended. *)
+(** Human-readable block, one per run. With [sla_budget] (parallel time
+    units), each recovered burst is annotated against the budget and
+    the {!check_sla} verdict line is appended. *)
+
+(** {2 Pooled tally}
+
+    One accounting of many runs' recoveries: [bin/timeline]'s aggregate
+    verdict, the soak batch report and the chaos experiment's rows
+    ([Chaos.Soak.pool]), the dashboard's aggregate and the recovery and
+    availability figures all read it. *)
+
+module Tally : sig
+  type t = {
+    bursts : int;  (** fault bursts, absorbed ones included *)
+    broke : int;  (** bursts that lost correctness *)
+    recovered : float list;
+        (** {!recovery_time} of every broken burst that recovered: the
+            runs in order, each run's chronologically *)
+    censored : int;  (** broken bursts never recovered *)
+    misses : int;  (** recoveries over budget, in the judged runs *)
+    met : int;  (** judged runs whose SLA was met *)
+    availability : float;  (** mean over the runs; 0 without runs *)
+  }
+
+  val pool : (float * burst list * sla option) list -> t
+  (** One entry per run: its availability, its bursts and, for a judged
+      run, its SLA verdict. *)
+
+  val of_summaries : ?budget:float -> summary list -> t
+  (** {!pool} over summaries, with their {!availability} and, given
+      [budget] (parallel time units), their {!check_sla} verdicts. *)
+end

@@ -16,10 +16,9 @@ let group_by key items =
     items;
   List.rev_map (fun k -> (k, List.rev !(Hashtbl.find table k))) !order
 
-let run_label (run : Telemetry.Events.run) =
+let run_label (s : Telemetry.Timeline.summary) =
+  let run = s.Telemetry.Timeline.run in
   Printf.sprintf "%s / %s" run.Telemetry.Events.protocol run.Telemetry.Events.engine
-
-let mean xs = Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
 
 let ci95 xs = if Array.length xs < 2 then 0.0 else Stats.Summary.ci95_halfwidth xs
 
@@ -62,7 +61,7 @@ let slope_fit ?title events =
       (fun (s : Telemetry.Timeline.summary) ->
         match s.Telemetry.Timeline.last_correct_at with
         | Some t when t > 0.0 ->
-            Some (run_label s.Telemetry.Timeline.run, s.Telemetry.Timeline.run.Telemetry.Events.n, t)
+            Some (run_label s, s.Telemetry.Timeline.run.Telemetry.Events.n, t)
         | Some _ | None -> None)
       summaries
   in
@@ -75,7 +74,7 @@ let slope_fit ?title events =
           List.map
             (fun (n, samples) ->
               let times = Array.of_list (List.map (fun (_, _, t) -> t) samples) in
-              (float_of_int n, mean times, ci95 times))
+              (float_of_int n, Stats.Summary.mean times, ci95 times))
             by_n ))
       groups
   in
@@ -93,12 +92,17 @@ let availability ?(title = "Availability under sustained faults")
   Plot.chart ~title ~x_kind:Scale.Log ~y_domain:(0.0, 1.05) ~x_label ~y_label:"availability"
     series
 
-let mean_availability summaries =
-  match summaries with
-  | [] -> 0.0
-  | _ ->
-      List.fold_left (fun acc s -> acc +. Telemetry.Timeline.availability s) 0.0 summaries
-      /. float_of_int (List.length summaries)
+let availability_points files =
+  List.concat_map
+    (fun (load, summaries) ->
+      List.map
+        (fun (label, group) ->
+          let tally = Telemetry.Timeline.Tally.of_summaries group in
+          (label, (load, tally.Telemetry.Timeline.Tally.availability)))
+        (group_by run_label summaries))
+    files
+  |> group_by fst
+  |> List.map (fun (label, points) -> (label, List.map snd points))
 
 let recovery_samples ?(title = "Recovery time distribution") series_samples =
   let notes = ref [] in
@@ -129,32 +133,14 @@ let recovery_samples ?(title = "Recovery time distribution") series_samples =
     ~y_label:"fraction recovered ≤ t" ~notes:(List.rev !notes) series
 
 let recovery_cdf ?title events =
-  let summaries = Telemetry.Timeline.fold events in
-  let samples =
-    List.concat_map
-      (fun (s : Telemetry.Timeline.summary) ->
-        List.filter_map
-          (fun (b : Telemetry.Timeline.burst) ->
-            if not b.Telemetry.Timeline.broke then None
-            else
-              match Telemetry.Timeline.recovery_time b with
-              | Some dt -> Some (run_label s.Telemetry.Timeline.run, `Recovered dt)
-              | None -> Some (run_label s.Telemetry.Timeline.run, `Censored))
-          s.Telemetry.Timeline.bursts)
-      summaries
-  in
-  let groups = group_by fst samples in
-  let series_samples =
-    List.map
-      (fun (label, samples) ->
-        ( label,
-          List.filter_map
-            (fun (_, r) -> match r with `Recovered dt -> Some dt | `Censored -> None)
-            samples,
-          List.length (List.filter (fun (_, r) -> r = `Censored) samples) ))
-      groups
-  in
-  recovery_samples ?title series_samples
+  Telemetry.Timeline.fold events
+  |> group_by run_label
+  |> List.filter_map (fun (label, group) ->
+         let { Telemetry.Timeline.Tally.broke; recovered; censored; _ } =
+           Telemetry.Timeline.Tally.of_summaries group
+         in
+         if broke = 0 then None else Some (label, recovered, censored))
+  |> recovery_samples ?title
 
 let span_histograms metrics_json =
   let histograms =

@@ -32,12 +32,15 @@ val availability :
 (** Availability-vs-offered-load curves, one series per (label, points)
     with points [(load, availability)]. Log x (loads sweep decades),
     linear y pinned to [0, 1.05]. The caller aggregates availability per
-    load point — see {!mean_availability} and [Exp_chaos]. *)
+    load point — see {!availability_points} and [Exp_chaos]. *)
 
-val mean_availability : Telemetry.Timeline.summary list -> float
-(** Mean of {!Telemetry.Timeline.availability} over the summaries (0 for
-    an empty list) — one soak events file folded to one availability
-    sample. *)
+val availability_points :
+  (float * Telemetry.Timeline.summary list) list -> (string * (float * float) list) list
+(** The points of {!availability} from soak events files, one
+    [(load, summaries)] per file: each file's runs of one (protocol,
+    engine) are one point, their mean availability
+    ([Telemetry.Timeline.Tally]) at the file's load. Series come in
+    first-appearance order. *)
 
 val recovery_samples : ?title:string -> (string * float list * int) list -> Plot.chart
 (** The recovery CDF from already-pooled samples: one (label, recovered

@@ -39,12 +39,9 @@ let run_json (s : T.summary) =
 
 let snapshot_json ?(dropped = 0) ~path summaries =
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 summaries in
-  let bursts = List.concat_map (fun s -> s.T.bursts) summaries in
-  let broke = List.filter (fun (b : T.burst) -> b.T.broke) bursts in
-  let recovery_times =
-    List.sort compare (List.filter_map T.recovery_time broke)
+  let { T.Tally.bursts; broke; recovered; censored; availability; _ } =
+    T.Tally.of_summaries summaries
   in
-  let censored = List.length (List.filter (fun b -> b.T.recovered_at = None) broke) in
   let end_time = List.fold_left (fun acc s -> Float.max acc s.T.end_time) 0.0 summaries in
   J.Obj
     [
@@ -58,15 +55,15 @@ let snapshot_json ?(dropped = 0) ~path summaries =
             ("events", J.Int (sum (fun s -> s.T.events)));
             ("steps", J.Int (sum (fun s -> s.T.steps)));
             ("violations", J.Int (sum (fun s -> s.T.violations)));
-            ("availability", J.Float (Charts.mean_availability summaries));
+            ("availability", J.Float availability);
             ("end_time", J.Float end_time);
-            ("bursts", J.Int (List.length bursts));
-            ("broke", J.Int (List.length broke));
-            ("recovered", J.Int (List.length recovery_times));
+            ("bursts", J.Int bursts);
+            ("broke", J.Int broke);
+            ("recovered", J.Int (List.length recovered));
             ("censored", J.Int censored);
           ] );
       ("runs", J.List (List.map run_json summaries));
-      ("recovery_times", J.List (List.map (fun t -> J.Float t) recovery_times));
+      ("recovery_times", J.List (List.map (fun t -> J.Float t) (List.sort compare recovered)));
     ]
 
 (* The live page shell ({!Live_page}) around the dashboard's tiles, two

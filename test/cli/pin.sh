@@ -197,6 +197,12 @@ timeline)
       echo "exit $?"
     done
   done
+  # a budget of 5310.5 interactions rounds up to the recovery's 5311: the
+  # soak and the timeline of its events read the same verdict
+  echo "== ssr_sim and timeline --sla 165.953125 single.jsonl"
+  "$ssr_sim" -p silent -n 32 -s correct --seed 3 --chaos burst:1000,corrupt:0.2 --horizon 8000 \
+    --engine count --sla 165.953125 --events "$tmp/sla.jsonl" 2> /dev/null | grep '^SLA'
+  "$exe" --sla 165.953125 "$tmp/sla.jsonl" | grep 'SLA'
   # command-line parse errors are usage errors, like a missing file
   status --port abc x.jsonl
   status --bogus x.jsonl

@@ -208,12 +208,10 @@ let test_soak_report_sane () =
   check_int "metronome fired horizon/every times" (horizon / 4000) r.Chaos.Soak.firings;
   check_bool "every firing overwrote agents" true
     (r.Chaos.Soak.faults_applied >= r.Chaos.Soak.firings);
-  check_int "bursts split into the three outcomes"
-    r.Chaos.Soak.bursts
-    (r.Chaos.Soak.absorbed + r.Chaos.Soak.recoveries + r.Chaos.Soak.sla.Chaos.Soak.censored);
-  check_int "one recovery time per recovery" r.Chaos.Soak.recoveries
-    (Array.length r.Chaos.Soak.recovery_times);
-  check_bool "recoveries happened under a gentle metronome" true (r.Chaos.Soak.recoveries >= 1)
+  let { Telemetry.Timeline.Tally.bursts; broke; recovered; censored; _ } = Chaos.Soak.pool [ r ] in
+  check_int "one tallied run's bursts" (List.length r.Chaos.Soak.bursts) bursts;
+  check_int "broken bursts recover or are censored" broke (List.length recovered + censored);
+  check_bool "recoveries happened under a gentle metronome" true (recovered <> [])
 
 let test_soak_stuck_repins () =
   (* A pinned agent must be re-injected whenever it drifts: under a
@@ -339,27 +337,66 @@ let qcheck_soak_agrees_with_timeline =
       match summaries with
       | [ s ] ->
           let bursts = s.Telemetry.Timeline.bursts in
-          let broke (b : Telemetry.Timeline.burst) = b.broke in
-          let count p = List.length (List.filter p bursts) in
-          let recovered =
-            List.filter_map
-              (fun b -> if broke b then Telemetry.Timeline.recovery_interactions b else None)
-              bursts
-          in
-          let budget = r.Chaos.Soak.sla.Chaos.Soak.budget in
-          let misses = List.length (List.filter (fun dt -> dt > budget) recovered) in
-          let censored = count (fun b -> broke b && b.Telemetry.Timeline.recovered_at = None) in
-          let nf = float_of_int c.c_n in
-          r.Chaos.Soak.bursts = List.length bursts
-          && r.Chaos.Soak.absorbed = count (fun b -> not (broke b))
-          && r.Chaos.Soak.recoveries = List.length recovered
-          && r.Chaos.Soak.sla.Chaos.Soak.censored = censored
-          && r.Chaos.Soak.sla.Chaos.Soak.misses = misses
-          && r.Chaos.Soak.sla.Chaos.Soak.met = (misses = 0 && censored = 0)
+          let budget = r.Chaos.Soak.sla.Telemetry.Timeline.sla_budget in
+          (* The soak notes a strike as one fault; the executor emits one
+             [Fault] per injection, so only the fault counts may differ. *)
+          let strikes = List.map (fun b -> { b with Telemetry.Timeline.faults = 0 }) in
+          strikes r.Chaos.Soak.bursts = strikes bursts
+          && r.Chaos.Soak.sla = Telemetry.Timeline.judge ~budget bursts
           && r.Chaos.Soak.violations = s.Telemetry.Timeline.violations
-          && r.Chaos.Soak.recovery_times
-             = Array.of_list (List.map (fun dt -> float_of_int dt /. nf) recovered)
       | _ -> false)
+
+(* ssr_sim's path for [--chaos burst:1000,corrupt:0.2 --horizon 8000
+   --sla B]: the job converts B to whole interactions, the soak judges
+   its one burst against them, and the events it wrote fold through the
+   timeline under the same B. *)
+let soak_job ~sla =
+  let job =
+    Result.get_ok
+      (Fleet.Job.make ~id:"sla" ~protocol:"silent" ~n:32 ~seed:3 ~scenario:"correct"
+         ~engine:Engine.Exec.Count ~chaos:"burst:1000,corrupt:0.2" ~horizon:8000.0 ~sla ())
+  in
+  let sink = Telemetry.Sink.buffer () in
+  let (Fleet.Run.Finished { outcome; _ }) =
+    Fleet.Run.trial ~sink ~seed:3 ~scenario_rng:(Prng.create ~seed:1003)
+      ~rng:(Prng.create ~seed:3)
+      (Result.get_ok (Fleet.Job.plan job))
+  in
+  let events =
+    String.split_on_char '\n' (Telemetry.Sink.contents sink)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> Result.get_ok (Telemetry.Events.of_line l))
+  in
+  match (outcome, Telemetry.Timeline.fold events) with
+  | Fleet.Run.Soaked r, [ s ] -> (r, s)
+  | _ -> Alcotest.fail "expected one soaked run"
+
+let test_timeline_sla_rounds_like_soak () =
+  let n = 32 in
+  let r, _ = soak_job ~sla:4000.0 in
+  let recovery =
+    match r.Chaos.Soak.bursts with
+    | [ b ] -> Option.get (Telemetry.Timeline.recovery_interactions b)
+    | _ -> Alcotest.fail "expected one burst"
+  in
+  (* Budgets B with B·n strictly between two whole interaction counts:
+     rounded up, the first is the recovery itself (met), the second one
+     interaction short of it (missed). *)
+  List.iter
+    (fun (whole, met) ->
+      let sla = (float_of_int whole -. 0.5) /. float_of_int n in
+      let r, s = soak_job ~sla in
+      let soak = r.Chaos.Soak.sla and folded = Telemetry.Timeline.check_sla ~budget:sla s in
+      let label what = Printf.sprintf "B = %g: %s" sla what in
+      check_int (label "soak budget") whole soak.Telemetry.Timeline.sla_budget;
+      check_bool (label "soak verdict") met soak.Telemetry.Timeline.sla_met;
+      check_bool (label "timeline verdict") soak.Telemetry.Timeline.sla_met
+        folded.Telemetry.Timeline.sla_met;
+      check_int (label "misses") soak.Telemetry.Timeline.sla_misses
+        folded.Telemetry.Timeline.sla_misses;
+      check_int (label "censored") soak.Telemetry.Timeline.sla_censored
+        folded.Telemetry.Timeline.sla_censored)
+    [ (recovery, true); (recovery - 1, false) ]
 
 let suite =
   [
@@ -380,4 +417,6 @@ let suite =
     Alcotest.test_case "soak stuck repins" `Quick test_soak_stuck_repins;
     Alcotest.test_case "soak validates arguments" `Quick test_soak_validates_arguments;
     QCheck_alcotest.to_alcotest qcheck_soak_agrees_with_timeline;
+    Alcotest.test_case "timeline rounds an SLA budget as the soak does" `Quick
+      test_timeline_sla_rounds_like_soak;
   ]

@@ -99,13 +99,11 @@ let chaos_recovery_times ~kind ~n ~seed =
       let exec =
         Engine.Exec.make ~kind ~protocol ~init:(Core.Scenarios.silent_correct ~n) ~rng ()
       in
-      let report =
-        Chaos.Soak.run ~schedule ~adversary
-          ~random_state:(fun rng -> Core.Scenarios.silent_random_state rng ~n)
-          ~rng ~horizon:80_000 exec
-      in
-      report.Chaos.Soak.recovery_times)
-  |> Array.to_list |> List.concat_map Array.to_list |> Array.of_list
+      Chaos.Soak.run ~schedule ~adversary
+        ~random_state:(fun rng -> Core.Scenarios.silent_random_state rng ~n)
+        ~rng ~horizon:80_000 exec)
+  |> Array.to_list |> Chaos.Soak.pool
+  |> fun t -> Array.of_list t.Telemetry.Timeline.Tally.recovered
 
 let test_chaos_recovery_agrees_in_law () =
   let n = 8 in

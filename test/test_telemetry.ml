@@ -485,6 +485,46 @@ let test_timeline_open_burst_and_interleaving () =
       check_int "r1 steps" 1 s1.Telemetry.Timeline.steps
   | summaries -> Alcotest.failf "expected 2 summaries, got %d" (List.length summaries)
 
+(* n = 8, so a parallel-time budget B is ⌈8·B⌉ interactions. A burst
+   whose last fault is at interaction 16 recovers at 57 (41 interactions,
+   5.125 time units), and one more stays broken to the end. *)
+let test_timeline_sla_interaction_clock () =
+  let to_i = Telemetry.Timeline.to_interactions in
+  check_int "5310.5 interactions round up" 5311 (to_i ~n:32 165.953125);
+  check_int "at least one interaction" 1 (to_i ~n:8 1e-9);
+  check_int "saturates past the int range" max_int (to_i ~n:8 1e300);
+  let run = mk_run () in
+  let events =
+    List.map
+      (fun e -> (run, e))
+      [
+        entered ~at:1.0 8;
+        fault ~at:2.0 16;
+        lost ~at:2.125 17;
+        entered ~at:7.125 57;
+        fault ~at:8.0 64;
+        lost ~at:8.125 65;
+      ]
+  in
+  let s = List.hd (Telemetry.Timeline.fold events) in
+  List.iter
+    (fun (budget, whole, misses) ->
+      let v = Telemetry.Timeline.check_sla ~budget s in
+      let label what = Printf.sprintf "budget %g: %s" budget what in
+      check_int (label "interactions") whole v.Telemetry.Timeline.sla_budget;
+      check_int (label "broke") 2 v.Telemetry.Timeline.broke;
+      check_int (label "misses") misses v.Telemetry.Timeline.sla_misses;
+      check_int (label "censored") 1 v.Telemetry.Timeline.sla_censored;
+      check_bool (label "not met") false v.Telemetry.Timeline.sla_met)
+    [ (5.06, 41, 0); (5.125, 41, 0); (4.99, 40, 1) ];
+  let t = Telemetry.Timeline.Tally.of_summaries ~budget:4.99 [ s; s ] in
+  check_int "pooled broke" 4 t.Telemetry.Timeline.Tally.broke;
+  check_int "pooled misses" 2 t.Telemetry.Timeline.Tally.misses;
+  check_int "pooled censored" 2 t.Telemetry.Timeline.Tally.censored;
+  check_int "no run met" 0 t.Telemetry.Timeline.Tally.met;
+  check_bool "recovery times, runs in order" true
+    (t.Telemetry.Timeline.Tally.recovered = [ 5.125; 5.125 ])
+
 let test_timeline_load_rejects_garbage () =
   let text = "{\"v\":1}\n" in
   let path = Filename.temp_file "telemetry_test" ".jsonl" in
@@ -587,6 +627,8 @@ let suite =
       test_timeline_recovery;
     Alcotest.test_case "timeline: interleaved runs, unrecovered burst" `Quick
       test_timeline_open_burst_and_interleaving;
+    Alcotest.test_case "timeline: SLA judged on the interaction clock" `Quick
+      test_timeline_sla_interaction_clock;
     Alcotest.test_case "timeline: load rejects undecodable lines" `Quick
       test_timeline_load_rejects_garbage;
     Alcotest.test_case "attach: both engines stream decodable landmarks" `Quick

@@ -122,20 +122,6 @@ let test_svg_escaping () =
    Regenerate after an intentional rendering change:
      dune exec bin/plot.exe -- --embed && cp figures/<new>.svg test/golden/... *)
 
-let availability_series () =
-  List.map
-    (fun (load, file) ->
-      let summaries = Telemetry.Timeline.fold (load_events ("golden/" ^ file)) in
-      let label =
-        match summaries with
-        | s :: _ ->
-            Printf.sprintf "%s / %s" s.Telemetry.Timeline.run.Telemetry.Events.protocol
-              s.Telemetry.Timeline.run.Telemetry.Events.engine
-        | [] -> Alcotest.fail "empty availability fixture"
-      in
-      (label, load, Viz.Charts.mean_availability summaries))
-    [ (0.25, "viz_avail_025.jsonl"); (1.0, "viz_avail_1.jsonl"); (4.0, "viz_avail_4.jsonl") ]
-
 let check_golden_svg ~golden chart =
   let want = read_file ("golden/" ^ golden) in
   check_string
@@ -148,15 +134,16 @@ let test_golden_slope () =
        (load_events "golden/viz_slope.jsonl"))
 
 let test_golden_availability () =
-  let samples = availability_series () in
-  let labels = List.sort_uniq compare (List.map (fun (l, _, _) -> l) samples) in
-  let series =
-    List.map
-      (fun label ->
-        (label, List.filter_map (fun (l, x, y) -> if l = label then Some (x, y) else None) samples))
-      labels
-  in
-  check_golden_svg ~golden:"svg_availability.svg" (Viz.Charts.availability series)
+  check_golden_svg ~golden:"svg_availability.svg"
+    (Viz.Charts.availability
+       (Viz.Charts.availability_points
+          (List.map
+             (fun (load, file) -> (load, Telemetry.Timeline.fold (load_events ("golden/" ^ file))))
+             [
+               (0.25, "viz_avail_025.jsonl");
+               (1.0, "viz_avail_1.jsonl");
+               (4.0, "viz_avail_4.jsonl");
+             ])))
 
 let test_golden_recovery_cdf () =
   check_golden_svg ~golden:"svg_recovery_cdf.svg"
