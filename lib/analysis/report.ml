@@ -64,15 +64,13 @@ let pp_summary fmt reports =
 
 module J = Telemetry.Json
 
-let strings xs = J.List (List.map (fun x -> J.String x) xs)
-
 let stage_json s =
   J.Obj
     [
       ("stage", J.String s.stage);
       ("status", J.String (string_of_status s.status));
       ("metrics", J.Obj (List.map (fun (k, v) -> (k, J.String v)) s.metrics));
-      ("findings", strings s.findings);
+      ("findings", J.List (List.map (fun f -> J.String f) s.findings));
     ]
 
 let json t =
