@@ -18,9 +18,10 @@
     it. A maximal group of faults with no intervening re-entry into
     correctness is one burst; a burst {e breaks} if correctness is lost
     before the next re-entry, {e recovers} at that re-entry (recovery
-    time measured from the burst's last fault, on the interaction clock),
-    is {e absorbed} if correctness never broke, and is {e censored} if
-    the horizon ends first. The soak also publishes every action on the
+    measured from the burst's last fault, and judged against the SLA on
+    the interaction clock by [Telemetry.Timeline.judge]), is
+    {e absorbed} if correctness never broke, and is {e censored} if the
+    horizon ends first. The soak also publishes every action on the
     executor's [Instrument] stream ([Fault] from the injection surface,
     the correctness landmarks from its own observation loop), so folding
     the run's events file with [bin/timeline] tells the same story, and
